@@ -1,7 +1,8 @@
 """Command line driver: generate graphs, run schemes, sweep bounds, cluster.
 
-Exit codes: 0 success/converged, 1 usage or input error, 2 round budget
-exhausted before convergence, 3 verification mismatch.
+Exit codes: 0 success/converged, 1 usage or input error (a bad count such as
+--max-rounds 0, or a broken engine contract), 2 round budget exhausted before
+convergence, 3 verification mismatch.
 """
 
 import argparse
@@ -52,6 +53,16 @@ def parse_graph_spec(spec, weighted=False, seed=0):
     except ValueError:
         raise GraphError("bad size in graph spec %r" % spec) from None
     return makers[kind](n, weighted=weighted, seed=seed)
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %r" % text)
+    return value
 
 
 def _parse_tau(text):
@@ -238,10 +249,10 @@ def build_parser():
     r.add_argument("--algo", choices=SCHEME_NAMES, default="hash-to-min")
     r.add_argument("--weighted", action="store_true")
     r.add_argument("--tau", help="reducer load threshold for hash-to-min-lb (int or inf)")
-    r.add_argument("--seeds", type=int, default=1,
-                   help="run orderings 0..N-1 (0 = as built)")
+    r.add_argument("--seeds", type=_positive_int, default=1,
+                   help="run orderings 0..N-1, N >= 1 (ordering 0 = as built)")
     r.add_argument("--seed-list", help="comma-separated ordering seeds")
-    r.add_argument("--max-rounds", type=int, default=10000)
+    r.add_argument("--max-rounds", type=_positive_int, default=10000)
     r.add_argument("--format", choices=("json", "csv"), default="json")
     r.add_argument("--verify", action="store_true",
                    help="compare components against the union-find reference")
@@ -250,17 +261,17 @@ def build_parser():
     s = sub.add_parser("sweep", help="round/state bounds over a size ladder (CSV)")
     s.add_argument("--family", choices=("path", "tree"), required=True)
     s.add_argument("--sizes", required=True, help="comma-separated node counts")
-    s.add_argument("--seeds-per-size", type=int, default=3)
+    s.add_argument("--seeds-per-size", type=_positive_int, default=3)
     s.add_argument("--algo", choices=SCHEME_NAMES, default="hash-to-min")
     s.add_argument("--tau")
-    s.add_argument("--max-rounds", type=int, default=10000)
+    s.add_argument("--max-rounds", type=_positive_int, default=10000)
     s.set_defaults(fn=cmd_sweep)
 
     c = sub.add_parser("slc", parents=[common], help="distributed single-linkage clustering")
     c.add_argument("--algo", choices=("hash-to-all", "hash-to-min"),
                    default="hash-to-all")
     c.add_argument("--stop", default="never", help="dist:x, size:n, or never")
-    c.add_argument("--max-rounds", type=int, default=10000)
+    c.add_argument("--max-rounds", type=_positive_int, default=10000)
     c.add_argument("--format", choices=("json", "csv"), default="json")
     c.add_argument("--verify", action="store_true",
                    help="compare against the centralized reference")
@@ -273,10 +284,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except GraphError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
-    except ValueError as exc:
+    except (GraphError, ValueError, engine.EngineFault) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

@@ -8,10 +8,10 @@ previous state passed as an explicit argument; a node with no incoming
 messages keeps nothing implicitly.
 """
 
-import heapq
 import json
 from dataclasses import dataclass
-from itertools import groupby, pairwise
+from itertools import islice
+from operator import lt
 
 
 class EngineFault(Exception):
@@ -40,23 +40,18 @@ class RunResult:
 
 
 def merge_sorted_dedup(seqs):
-    """Union of sorted id sequences as a strictly increasing tuple.
+    """Union of strictly increasing id sequences as a strictly increasing tuple.
 
-    Equal payloads are collapsed before the heap merge; the output is checked
-    and a violation (which can only come from unsorted input) is an EngineFault.
+    Every input payload is checked for strict increase before it joins the
+    union; an unsorted one is an EngineFault, even when a sorted payload
+    already covers its ids.
     """
-    uniq = dict.fromkeys(map(tuple, seqs))
-    if not uniq:
-        return ()
-    if len(uniq) == 1:
-        (only,) = uniq
-        out = only
-    else:
-        out = tuple(k for k, _ in groupby(heapq.merge(*uniq)))
-    for a, b in pairwise(out):
-        if a >= b:
+    out = set()
+    for p in seqs:
+        if not all(map(lt, p, islice(p, 1, None))):
             raise EngineFault("merge input was not sorted strictly increasing")
-    return out
+        out.update(p)
+    return tuple(sorted(out))
 
 
 def step(g, scheme, state, rnd):

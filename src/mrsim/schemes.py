@@ -165,7 +165,7 @@ class AlternatingHGTM:
         return _export_min_labeled(g, state)
 
 
-class LbHashToMin:
+class LbHashToMin(HashToMin):
     """Hash-to-min with a reducer load cap.
 
     A hub is a node whose closed neighborhood has more than tau ids. Edges
@@ -184,7 +184,7 @@ class LbHashToMin:
     it does not bound the intake of a minimum that many mid-sized clusters
     share, which on dense randoms can exceed plain hash-to-min."""
 
-    check_every = 1
+    name = "hash-to-min-lb"
 
     def __init__(self, tau=inf):
         if tau != inf:
@@ -192,10 +192,9 @@ class LbHashToMin:
                 raise ValueError("tau must be a positive integer or inf")
             tau = int(tau)
         self.tau = tau
-        self.name = "hash-to-min-lb"
 
     def init_state(self, g):
-        state = _closed_neighborhoods(g)
+        state = super().init_state(g)
         tau = self.tau
         is_hub = [len(st) > tau for st in state]
         runs = {}
@@ -219,15 +218,9 @@ class LbHashToMin:
         return state
 
     def hash(self, rnd, v, st, g):
-        if not st:
-            return []
-        m = st[0]
         if len(st) <= self.tau:
-            out = [(m, st)]
-            single = (m,)
-            for u in st[1:]:
-                out.append((u, single))
-            return out
+            return super().hash(rnd, v, st, g)
+        m = st[0]
         j = bisect_right(st, v)
         low = st[:j]
         high = st[j:]
@@ -244,12 +237,6 @@ class LbHashToMin:
             for u in high:
                 out.append((u, single))
         return out
-
-    def merge(self, rnd, v, payloads, prev):
-        return merge_sorted_dedup(payloads)
-
-    def export(self, g, state):
-        return _export_min_labeled(g, state)
 
     def finalize(self, g, result, max_rounds):
         """Phase 2: contract phase-1 clusters to single nodes, run plain

@@ -71,8 +71,7 @@ class StopPredicate:
         if self.kind == "never":
             return False
         a = _analyze(g, c, cache)
-        if not a.connected:
-            raise GraphError("cluster %r is not connected" % (c,))
+        _require_connected(a, c)
         return a.topw[a.root] > self.param
 
     def key(self):
@@ -243,9 +242,9 @@ def is_core(g, c, cache=None):
     return a.ok[a.root]
 
 
-def mcd(g, c, cache=None):
-    """Minimal core decomposition: the maximal merge-tree nodes that are
-    cores, a partition of the cluster."""
+def _highest(g, c, keep, cache):
+    """Members of the highest merge-tree nodes t of the cluster for which
+    keep(a, t) holds, sorted; a partition when every leaf passes keep."""
     c = tuple(sorted(c))
     a = _analyze(g, c, cache)
     _require_connected(a, c)
@@ -253,32 +252,26 @@ def mcd(g, c, cache=None):
     stack = [a.root]
     while stack:
         t = stack.pop()
-        if a.ok[t]:
+        if keep(a, t):
             out.append(a.node_members(t))
         else:
             stack.append(a.left[t])
             stack.append(a.right[t])
     out.sort()
     return out
+
+
+def mcd(g, c, cache=None):
+    """Minimal core decomposition: the maximal merge-tree nodes that are
+    cores, a partition of the cluster."""
+    return _highest(g, c, lambda a, t: a.ok[t], cache)
 
 
 def split_repair(g, c, pred, cache=None):
     """Highest merge-tree nodes that are cores and not stopped: keeps every
     valid core, recursively splits the rest."""
-    c = tuple(sorted(c))
-    a = _analyze(g, c, cache)
-    _require_connected(a, c)
-    out = []
-    stack = [a.root]
-    while stack:
-        t = stack.pop()
-        if a.ok[t] and not pred.stopped(a.size[t], a.topw[t]):
-            out.append(a.node_members(t))
-        else:
-            stack.append(a.left[t])
-            stack.append(a.right[t])
-    out.sort()
-    return out
+    return _highest(g, c, lambda a, t: a.ok[t] and not pred.stopped(a.size[t], a.topw[t]),
+                    cache)
 
 
 def _best_core(best, core):

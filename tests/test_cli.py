@@ -86,6 +86,15 @@ def test_usage_and_input_errors(capsys):
     assert run_cli(capsys, "run", "--graph", "path:8", "--algo", "hash-min",
                    "--tau", "4")[0] == 1
     assert run_cli(capsys, "run", "--graph", "file:/no/such/file")[0] == 1
+    for argv in (["run", "--graph", "path:8", "--max-rounds", "0"],
+                 ["run", "--graph", "path:8", "--seeds", "0"],
+                 ["sweep", "--family", "path", "--sizes", "8", "--seeds-per-size", "0"],
+                 ["slc", "--graph", "random:10:0.5", "--max-rounds", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
 
 def test_gen_roundtrip_through_file(capsys, tmp_path):

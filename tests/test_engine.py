@@ -37,6 +37,10 @@ def test_merge_sorted_dedup_rejects_unsorted_input():
         merge_sorted_dedup([(2, 1)])
     with pytest.raises(EngineFault):
         merge_sorted_dedup([(5,), (9, 0)])
+    with pytest.raises(EngineFault):
+        merge_sorted_dedup([(0, 1, 2), (2, 1)])
+    with pytest.raises(EngineFault):
+        merge_sorted_dedup([[3, 1]])
 
 
 class _BadKeyScheme:
