@@ -2,12 +2,15 @@
 
 Every node state is a strictly increasing tuple of node ids (a "cluster").
 Each scheme provides init_state, hash (emit (key, payload) messages), merge,
-and export (read components off a converged state).
+and export (read components off a converged state). HashToMin also offers
+hash_arrays, its hash on the engine's CSR state, which engine.run uses.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from math import inf
+
+import numpy as np
 
 from . import engine
 from .engine import merge_sorted_dedup
@@ -104,6 +107,16 @@ class HashToMin:
     def merge(self, rnd, v, payloads, prev):
         return merge_sorted_dedup(payloads)
 
+    def hash_arrays(self, rnd, lens, ids, g):
+        """hash on CSR state as (key, id) pairs: every id of a cluster to
+        its minimum, and the minimum to every other member."""
+        held = lens > 0
+        starts = (np.cumsum(lens) - lens)[held]
+        mins = np.repeat(ids[starts], lens[held])
+        rest = np.ones(ids.size, bool)
+        rest[starts] = False
+        return np.concatenate((mins, ids[rest])), np.concatenate((ids, mins[rest]))
+
     def export(self, g, state):
         return _export_min_labeled(g, state)
 
@@ -185,6 +198,9 @@ class LbHashToMin(HashToMin):
     share, which on dense randoms can exceed plain hash-to-min."""
 
     name = "hash-to-min-lb"
+    # Phase 1 splits large clusters, so it runs the per-node hash; phase 2
+    # in finalize is a plain HashToMin run.
+    hash_arrays = None
 
     def __init__(self, tau=inf):
         if tau != inf:
