@@ -8,6 +8,7 @@ convergence, 3 verification mismatch.
 import argparse
 import csv
 import io
+import json
 import math
 import sys
 
@@ -201,7 +202,6 @@ def cmd_slc(args):
         expect = oracle.centralized_slc(g, *pred.key())
         mismatch = result.clusters != expect
     if args.format == "json":
-        import json
         doc = {
             "algo": result.algo,
             "stop": result.stop,

@@ -5,12 +5,14 @@ closed neighborhoods), a distributed stop check runs after every round, and a
 final split-repair pass undoes merges the last rounds overshot.
 
 Cluster analysis (split, cores, maximal core decomposition) runs on the
-single-linkage merge tree of the cluster's induced subgraph: removing the
-heaviest tree edge is the same as stepping down one merge, and a merge is
-"mutually nearest" exactly when neither side has an edge leaving the whole
-cluster lighter than the merge weight (any lighter edge staying inside would
-have merged earlier). That turns the recursive definitions into one linear
-walk per cluster.
+single-linkage merge forest of the cluster's induced subgraph, one tree per
+connected piece: removing the heaviest tree edge is the same as stepping down
+one merge, and a merge is "mutually nearest" exactly when neither side has an
+edge leaving the whole cluster lighter than the merge weight (any lighter
+edge staying inside would have merged earlier). That turns the recursive
+definitions into one linear walk per cluster. A piece's or a core's own
+merge tree is the subtree at its forest node, so the stop check and the
+repair build one forest per grown cluster and nothing more.
 """
 
 from dataclasses import dataclass
@@ -61,7 +63,7 @@ class StopPredicate:
             return size > self.param
         return max_internal_edge > self.param
 
-    def local(self, g, c, cache=None):
+    def local(self, g, c):
         """Stop_local on one cluster (max merge-tree edge for dist)."""
         c = tuple(c)
         if len(c) <= 1:
@@ -70,9 +72,8 @@ class StopPredicate:
             return len(c) > self.param
         if self.kind == "never":
             return False
-        a = _analyze(g, c, cache)
-        _require_connected(a, c)
-        return a.topw[a.root] > self.param
+        a = _analyze(g, c)
+        return a.topw[_root(a)] > self.param
 
     def key(self):
         return (self.kind, self.param)
@@ -98,11 +99,11 @@ def never_stop():
 
 
 class _Analysis:
-    """Merge tree of one cluster: leaves 0..k-1 are the members in id order,
-    internal nodes follow in merge (ascending weight) order."""
+    """Merge forest of one cluster: leaves 0..k-1 are the members in the
+    given order, internal nodes follow in merge (ascending weight) order, and
+    roots holds the top of each connected piece's tree."""
 
-    __slots__ = ("members", "size", "topw", "ok", "left", "right", "root",
-                 "connected", "_sets")
+    __slots__ = ("members", "size", "topw", "ok", "left", "right", "roots", "_sets")
 
     def __init__(self, members):
         self.members = members
@@ -112,8 +113,6 @@ class _Analysis:
         self.ok = [True] * k
         self.left = [-1] * k
         self.right = [-1] * k
-        self.root = 0
-        self.connected = k == 1
         self._sets = None
 
     def node_members(self, t):
@@ -189,16 +188,17 @@ def _analyze(g, c, cache=None):
         uf[ri] = rj
         node_of[rj] = nxt
         nxt += 1
-    a.connected = nxt == 2 * k - 1 or k == 1
-    a.root = nxt - 1 if k > 1 else 0
+    a.roots = [node_of[r] for r in range(k) if uf[r] == r]
     if cache is not None:
         cache[c] = a
     return a
 
 
-def _require_connected(a, c):
-    if not a.connected:
-        raise GraphError("cluster %r is not connected" % (c,))
+def _root(a):
+    """The one tree root of a connected cluster's forest."""
+    if len(a.roots) != 1:
+        raise GraphError("cluster %r is not connected" % (a.members,))
+    return a.roots[0]
 
 
 def cluster_distance(g, a, b):
@@ -228,37 +228,35 @@ def split(g, c):
     if len(c) < 2:
         raise GraphError("cannot split a cluster of size %d" % len(c))
     a = _analyze(g, c)
-    _require_connected(a, c)
-    lo = a.node_members(a.left[a.root])
-    hi = a.node_members(a.right[a.root])
+    r = _root(a)
+    lo = a.node_members(a.left[r])
+    hi = a.node_members(a.right[r])
     return (lo, hi) if lo[0] < hi[0] else (hi, lo)
 
 
-def is_core(g, c, cache=None):
+def is_core(g, c):
     """True when every recursive split is a pair of mutually nearest halves."""
-    c = tuple(sorted(c))
-    a = _analyze(g, c, cache)
-    _require_connected(a, c)
-    return a.ok[a.root]
+    a = _analyze(g, tuple(sorted(c)))
+    return a.ok[_root(a)]
 
 
-def _highest(g, c, keep, cache):
-    """Members of the highest merge-tree nodes t of the cluster for which
-    keep(a, t) holds, sorted; a partition when every leaf passes keep."""
-    c = tuple(sorted(c))
-    a = _analyze(g, c, cache)
-    _require_connected(a, c)
-    out = []
-    stack = [a.root]
+def _kept(a, roots, keep):
+    """The highest merge-tree nodes t under roots for which keep(a, t) holds;
+    they partition the members under roots, as every leaf passes keep."""
+    stack = list(roots)
     while stack:
         t = stack.pop()
         if keep(a, t):
-            out.append(a.node_members(t))
+            yield t
         else:
             stack.append(a.left[t])
             stack.append(a.right[t])
-    out.sort()
-    return out
+
+
+def _highest(g, c, keep, cache=None):
+    """Members of the kept nodes of a connected cluster, sorted."""
+    a = _analyze(g, tuple(sorted(c)), cache)
+    return sorted(a.node_members(t) for t in _kept(a, (_root(a),), keep))
 
 
 def mcd(g, c, cache=None):
@@ -267,61 +265,50 @@ def mcd(g, c, cache=None):
     return _highest(g, c, lambda a, t: a.ok[t], cache)
 
 
-def split_repair(g, c, pred, cache=None):
+def _repairable(pred):
+    return lambda a, t: a.ok[t] and not pred.stopped(a.size[t], a.topw[t])
+
+
+def split_repair(g, c, pred):
     """Highest merge-tree nodes that are cores and not stopped: keeps every
     valid core, recursively splits the rest."""
-    return _highest(g, c, lambda a, t: a.ok[t] and not pred.stopped(a.size[t], a.topw[t]),
-                    cache)
+    return _highest(g, c, _repairable(pred))
 
 
-def _best_core(best, core):
-    for v in core:
-        cur = best.get(v)
-        if cur is None or (len(core), -core[0]) > (len(cur), -cur[0]):
-            best[v] = core
-    return best
+def _largest_per_node(g, clusters, keep, cache):
+    """Walk the merge forest of each distinct cluster, hand every node the
+    largest kept merge-tree node holding it (ties to the smaller minimum id)
+    and require every node to get one. Returns the chosen (members, topw)
+    pairs, distinct, in node order.
 
-
-def _connected_pieces(g, c, cache=None):
-    """Connected components of the induced subgraph, as sorted tuples.
     Min-propagating growth can leave a node holding ids of two far-apart
-    minima, so grown states are decomposed before core analysis."""
-    a = _analyze(g, c, cache)
-    if a.connected:
-        return (c,)
-    seen = [False] * len(a.size)
-    roots = []
-    for t in range(len(a.size) - 1, -1, -1):
-        if seen[t]:
-            continue
-        roots.append(t)
-        stack = [t]
-        while stack:
-            x = stack.pop()
-            seen[x] = True
-            if a.left[x] >= 0:
-                stack.append(a.left[x])
-                stack.append(a.right[x])
-    return tuple(a.node_members(t) for t in roots)
+    minima, so a grown cluster may be disconnected; each connected piece is
+    one tree of the forest. Pieces share no edges, so the lightest edge
+    leaving a piece is the one it has leaving the cluster, and its tree is
+    the one it would have on its own. The kept nodes of one cluster are
+    disjoint, so only the order of the clusters can break a tie."""
+    best = {}
+    for c in dict.fromkeys(tuple(sorted(c)) for c in clusters):
+        a = _analyze(g, c, cache)
+        for t in _kept(a, a.roots, keep):
+            core = a.node_members(t)
+            for v in core:
+                cur = best.get(v)
+                if cur is None or (len(core), -core[0]) > (len(cur[0]), -cur[0][0]):
+                    best[v] = (core, a.topw[t])
+    if len(best) != g.n:
+        raise GraphError("cluster collection does not cover every node")
+    return list(dict.fromkeys(best[v] for v in range(g.n)))
 
 
 def stop_round(g, clusters, pred, cache=None):
-    """Global stop: decompose every cluster into cores, hand each node its
-    largest core (ties to the smaller minimum id), and require Stop_local on
+    """Global stop: hand each node its largest core from the merge forests of
+    the clusters (ties to the smaller minimum id), and require Stop_local on
     all of them."""
-    best = {}
-    for c in dict.fromkeys(tuple(c) for c in clusters):
-        for piece in _connected_pieces(g, c, cache):
-            for core in mcd(g, piece, cache):
-                _best_core(best, core)
-    if len(best) != g.n:
-        raise GraphError("cluster collection does not cover every node")
+    cores = _largest_per_node(g, clusters, lambda a, t: a.ok[t], cache)
     if pred.kind == "never":
         return False
-    for core in best.values():
-        if not pred.local(g, core, cache):
-            return False
-    return True
+    return all(pred.stopped(len(core), topw) for core, topw in cores)
 
 
 @dataclass
@@ -368,17 +355,8 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
         if fixpoint:
             converged = True
             break
-    pieces = {}
-    for c in dict.fromkeys(st for st in state if st):
-        for part in _connected_pieces(g, c, cache):
-            for piece in split_repair(g, part, pred, cache):
-                pieces[piece] = None
-    best = {}
-    for piece in pieces:
-        _best_core(best, piece)
-    if len(best) != g.n:
-        raise GraphError("repair did not cover every node")
-    chosen = dict.fromkeys(best[v] for v in range(g.n))
+    chosen = [p for p, _ in _largest_per_node(g, (st for st in state if st),
+                                              _repairable(pred), cache)]
     if sum(len(p) for p in chosen) != g.n:
         raise GraphError("repair did not produce a partition")
     clusters = sorted(chosen)

@@ -4,8 +4,10 @@ from math import inf
 
 import pytest
 
+from mrsim import engine
 from mrsim.graph import Graph, GraphError, gen_path, gen_random
 from mrsim.oracle import centralized_slc, union_find_components
+from mrsim.schemes import HashToAll, HashToMin
 from mrsim.slc import (StopPredicate, cluster_distance, distance_threshold,
                        is_core, mcd, never_stop, run_slc, size_threshold,
                        split, split_repair, stop_round)
@@ -327,3 +329,49 @@ def test_run_slc_errors():
         run_slc(g, "hash-min", never_stop(), 10)
     with pytest.raises(GraphError):
         run_slc(g, "hash-to-min", never_stop(), 0)
+
+
+def test_stop_round_and_run_slc_on_empty_and_single_node_graphs():
+    empty = Graph(0, [], weights={})
+    single = Graph(1, [], weights={})
+    for spec, stops_empty in [("never", False), ("dist:0.5", True), ("size:1", True)]:
+        pred = StopPredicate.parse(spec)
+        assert stop_round(empty, [], pred) is stops_empty
+        assert stop_round(single, [(0,)], pred) is False
+        for algo in ("hash-to-all", "hash-to-min"):
+            res = run_slc(empty, algo, pred, 10)
+            assert (res.rounds, res.converged, res.stopped, res.clusters) == (
+                1, True, stops_empty, [])
+            res = run_slc(single, algo, pred, 10)
+            assert (res.rounds, res.converged, res.stopped, res.clusters) == (
+                1, True, False, [(0,)])
+
+
+def _connected(g, c):
+    try:
+        mcd(g, c)
+    except GraphError:
+        return False
+    return True
+
+
+def test_run_slc_analyses_each_grown_cluster_once():
+    # Growth states of rounds 1..rounds are the only clusters run_slc may
+    # analyse: the stop check and the repair read pieces and cores off the
+    # grown cluster's merge forest.
+    cases = [
+        # hash-to-min leaves some grown states disconnected.
+        (gen_random(12, 0.3, seed=0, weighted=True), HashToMin, "never",
+         lambda g, c: not _connected(g, c)),
+        # hash-to-all grows connected states, some of whose cores are
+        # proper subsets.
+        (gen_random(16, 0.25, seed=0, weighted=True), HashToAll, "dist:0.3",
+         lambda g, c: any(1 < len(core) < len(c) for core in mcd(g, c))),
+    ]
+    for g, scheme, spec, shown in cases:
+        cache = {}
+        res = run_slc(g, scheme.name, StopPredicate.parse(spec), 100, cache)
+        snaps = engine.run(g, scheme(), 100, record=True).snapshots
+        grown = {c for snap in snaps[1:res.rounds + 1] for c in snap if c}
+        assert any(shown(g, c) for c in grown)
+        assert set(cache) == grown

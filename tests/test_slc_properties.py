@@ -1,0 +1,122 @@
+"""Property tests for the clustering on small generated graphs: run_slc
+against the centralized oracle, and stop_round against a reference built
+only from the public cluster analysis."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mrsim.graph import Graph, GraphError
+from mrsim.oracle import centralized_slc
+from mrsim.slc import StopPredicate, mcd, run_slc, stop_round
+
+FUZZ = settings(max_examples=150, derandomize=True, deadline=None, database=None)
+# stop_round answers one bool for a whole collection, and one singleton core
+# already makes it False, so it needs more examples to see a difference.
+FUZZ_STOP = settings(FUZZ, max_examples=300)
+
+
+@st.composite
+def weighted_graphs(draw, max_n=14):
+    """A graph on at most max_n nodes with edge density 0 to 0.9 (so often
+    disconnected, with isolated nodes, or empty), distinct weights in a
+    random order, and a random relabeling."""
+    n = draw(st.integers(0, max_n))
+    tenths = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if draw(st.integers(0, 9)) < tenths] if tenths else []
+    ranks = draw(st.permutations(range(len(edges))))
+    perm = draw(st.permutations(range(n)))
+    edges = [(perm[u], perm[v]) for u, v in edges]
+    weights = {e: (r + 1) / (len(edges) + 1) for e, r in zip(edges, ranks)}
+    return Graph(n, edges, weights=weights)
+
+
+predicates = st.one_of(
+    st.floats(0.001, 1.0).map(lambda x: StopPredicate("dist", x)),
+    st.integers(1, 15).map(lambda s: StopPredicate("size", s)),
+    st.just(StopPredicate("never")))
+
+
+@FUZZ
+@given(weighted_graphs(), predicates, st.sampled_from(["hash-to-all", "hash-to-min"]))
+def test_run_slc_matches_centralized(g, pred, algo):
+    res = run_slc(g, algo, pred, 100)
+    assert res.converged
+    assert res.rounds == len(res.per_round)
+    assert res.clusters == centralized_slc(g, *pred.key())
+
+
+def bfs_pieces(g, c):
+    """Connected components of the subgraph induced by c, as sorted tuples."""
+    inside = set(c)
+    seen = set()
+    out = []
+    for s in c:
+        if s in seen:
+            continue
+        seen.add(s)
+        piece = [s]
+        for u in piece:
+            for v in g.adj[u]:
+                if v in inside and v not in seen:
+                    seen.add(v)
+                    piece.append(v)
+        out.append(tuple(sorted(piece)))
+    return out
+
+
+def reference_stop_round(g, clusters, pred):
+    """Each node's largest core (ties to the smaller minimum id) over the
+    minimal core decompositions of every cluster's connected pieces, then
+    Stop_local on every chosen core; never stops under 'never'."""
+    best = {}
+    for c in dict.fromkeys(tuple(sorted(c)) for c in clusters):
+        for piece in bfs_pieces(g, c):
+            for core in mcd(g, piece):
+                for v in core:
+                    cur = best.get(v)
+                    if cur is None or (len(core), -core[0]) > (len(cur), -cur[0]):
+                        best[v] = core
+    if len(best) != g.n:
+        raise GraphError("cluster collection does not cover every node")
+    if pred.kind == "never":
+        return False
+    return all(pred.local(g, core) for core in best.values())
+
+
+@st.composite
+def cluster_collections(draw):
+    """A graph and nonempty, possibly disconnected and overlapping clusters in
+    random order: the groups of a random partition, unions of two groups and
+    random node sets. Now and then one cluster is dropped, which may leave a
+    node uncovered."""
+    g = draw(weighted_graphs())
+    k = draw(st.integers(1, 5))
+    label = [draw(st.integers(0, k - 1)) for _ in range(g.n)]
+    groups = [[v for v in range(g.n) if label[v] == i] for i in range(k)]
+    clusters = [c for c in groups if c]
+    for _ in range(draw(st.integers(0, 3))):
+        both = set(groups[draw(st.integers(0, k - 1))] + groups[draw(st.integers(0, k - 1))])
+        if both:
+            clusters.append(sorted(both))
+    if g.n:
+        nodes = st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n, unique=True)
+        clusters += draw(st.lists(nodes, max_size=2))
+    clusters = draw(st.permutations(clusters))
+    if clusters and draw(st.integers(0, 9)) == 9:
+        clusters = clusters[1:]
+    return g, clusters
+
+
+@FUZZ_STOP
+@given(cluster_collections(), predicates)
+def test_stop_round_matches_public_api_reference(gc, pred):
+    g, clusters = gc
+    try:
+        want = reference_stop_round(g, clusters, pred)
+    except GraphError:
+        with pytest.raises(GraphError):
+            stop_round(g, clusters, pred)
+        return
+    assert stop_round(g, clusters, pred) is want
