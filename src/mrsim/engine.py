@@ -11,6 +11,9 @@ A scheme whose reduce is a plain set union may also offer hash_arrays, the
 array form of its hash. run then keeps the state as CSR arrays and does the
 union and the metrics with numpy; the per-node hash and merge stay the spec
 that step runs.
+
+run is the one round driver: component runs go to convergence, and
+single-linkage growth passes its stop check as run's stop test.
 """
 
 import json
@@ -44,6 +47,7 @@ class RunResult:
     components: list | None
     snapshots: list | None = None
     phase_split: int | None = None
+    stopped: bool = False
 
 
 def merge_sorted_dedup(seqs):
@@ -149,14 +153,18 @@ def _columnar_step(g, scheme, state, rnd):
     return new, RoundMetrics(rnd, ids.size, keys.size, max_in, code.size)
 
 
-def run(g, scheme, max_rounds, initial_state=None, record=False):
-    """Drive a scheme to convergence or max_rounds.
+def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):
+    """Drive a scheme to convergence, a stop, or max_rounds.
 
     Convergence is state equality checked every scheme.check_every rounds
     (the confirming round is counted). record=True keeps a state snapshot
-    per round for replay inspection. A scheme with hash_arrays runs on CSR
-    state through _columnar_step instead of step, and its final state and
-    snapshots come back as tuples of Python ints, as step's do.
+    per round for replay inspection. stop, when given, is called after every
+    round with the state as a tuple of clusters, before the convergence
+    test; when it returns true the run ends with stopped=True and
+    converged=False, and export and finalize are skipped. A scheme with
+    hash_arrays runs on CSR state through _columnar_step instead of step,
+    and its final state, snapshots and the states stop sees are tuples of
+    Python ints, as step's are.
     """
     if max_rounds < 1:
         raise EngineFault("max_rounds must be at least 1")
@@ -174,24 +182,31 @@ def run(g, scheme, max_rounds, initial_state=None, record=False):
     snapshots = [out(state)] if record else None
     per_round = []
     last_checked = state
-    converged = False
+    converged = stopped = False
     rounds = 0
     for rnd in range(1, max_rounds + 1):
         state, metrics = round_fn(g, scheme, state, rnd)
         rounds = rnd
         per_round.append(metrics)
+        # Unpacked once per round, and only when someone looks at it.
+        final = out(state) if record or stop is not None else None
         if record:
-            snapshots.append(out(state))
+            snapshots.append(final)
+        if stop is not None and stop(final):
+            stopped = True
+            break
         if rnd % check_every == 0:
             if same(state, last_checked):
                 converged = True
                 break
             last_checked = state
-    final = out(state)
+    if final is None:
+        final = out(state)
     components = scheme.export(g, final) if converged else None
     result = RunResult(algo=scheme.name, rounds=rounds, converged=converged,
                        per_round=per_round, final=final,
-                       components=components, snapshots=snapshots)
+                       components=components, snapshots=snapshots,
+                       stopped=stopped)
     finalize = getattr(scheme, "finalize", None)
     if finalize is not None and converged:
         result = finalize(g, result, max_rounds)

@@ -1,8 +1,9 @@
 """Distributed single-linkage clustering on the round engine.
 
 Clusters grow by blind union rounds (hash-to-all or hash-to-min emissions on
-closed neighborhoods), a distributed stop check runs after every round, and a
-final split-repair pass undoes merges the last rounds overshot.
+closed neighborhoods) driven by engine.run, the distributed stop check is
+run's stop test after every round, and a final split-repair pass undoes
+merges the last rounds overshot.
 
 Cluster analysis (split, cores, maximal core decomposition) runs on the
 single-linkage merge forest of the cluster's induced subgraph, one tree per
@@ -64,16 +65,11 @@ class StopPredicate:
         return max_internal_edge > self.param
 
     def local(self, g, c):
-        """Stop_local on one cluster (max merge-tree edge for dist)."""
-        c = tuple(c)
-        if len(c) <= 1:
-            return self.stopped(len(c), 0.0)
-        if self.kind == "size":
-            return len(c) > self.param
-        if self.kind == "never":
-            return False
-        a = _analyze(g, c)
-        return a.topw[_root(a)] > self.param
+        """Stop_local on one connected cluster of a weighted graph: the rule
+        on its size and its top merge-tree edge."""
+        a = _analyze(g, tuple(sorted(c)))
+        r = _root(a)
+        return self.stopped(a.size[r], a.topw[r])
 
     def key(self):
         return (self.kind, self.param)
@@ -326,7 +322,11 @@ _SLC_SCHEMES = {"hash-to-all": HashToAll, "hash-to-min": HashToMin}
 
 
 def run_slc(g, algo, pred, max_rounds, cache=None):
-    """Grow, stop, repair. Returns the final clustering as a partition."""
+    """Grow, stop, repair. Returns the final clustering as a partition.
+
+    Growth is an engine.run of the scheme with stop_round as its stop test,
+    so hash-to-min growth takes the columnar round. A run that stops or
+    reaches its fixpoint counts as converged."""
     if g.weights is None:
         raise GraphError("single-linkage clustering needs edge weights")
     if algo not in _SLC_SCHEMES:
@@ -336,30 +336,13 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
         raise GraphError("max_rounds must be at least 1")
     if cache is None:
         cache = {}
-    scheme = _SLC_SCHEMES[algo]()
-    state = scheme.init_state(g)
-    per_round = []
-    rounds = 0
-    stopped = False
-    converged = False
-    for rnd in range(1, max_rounds + 1):
-        new_state, metrics = engine.step(g, scheme, state, rnd)
-        rounds = rnd
-        per_round.append(metrics)
-        fixpoint = new_state == state
-        state = new_state
-        if stop_round(g, (st for st in state if st), pred, cache):
-            stopped = True
-            converged = True
-            break
-        if fixpoint:
-            converged = True
-            break
-    chosen = [p for p, _ in _largest_per_node(g, (st for st in state if st),
+    res = engine.run(g, _SLC_SCHEMES[algo](), max_rounds,
+                     stop=lambda st: stop_round(g, (c for c in st if c), pred, cache))
+    chosen = [p for p, _ in _largest_per_node(g, (st for st in res.final if st),
                                               _repairable(pred), cache)]
     if sum(len(p) for p in chosen) != g.n:
         raise GraphError("repair did not produce a partition")
     clusters = sorted(chosen)
-    return SlcResult(algo=algo, stop=str(pred), rounds=rounds,
-                     converged=converged, stopped=stopped,
-                     per_round=per_round, clusters=clusters)
+    return SlcResult(algo=algo, stop=str(pred), rounds=res.rounds,
+                     converged=res.converged or res.stopped, stopped=res.stopped,
+                     per_round=res.per_round, clusters=clusters)

@@ -3,7 +3,7 @@
 run takes a CSR path for a scheme with hash_arrays. PerNodeHashToMin hides
 it, so the same scheme runs through step, hash and merge_sorted_dedup; the
 two must agree byte for byte, fail the same contract checks and hand back
-only Python ints.
+only Python ints. The same holds for hash-to-min growth in run_slc.
 """
 
 import json
@@ -12,11 +12,12 @@ from math import inf
 import numpy as np
 import pytest
 
-from mrsim import engine, schemes
+from mrsim import engine, schemes, slc
 from mrsim.engine import EngineFault, result_to_json, run
 from mrsim.graph import (Graph, gen_complete_binary_tree, gen_path, gen_random,
                          gen_star, relabel_random)
 from mrsim.schemes import HashToMin, LbHashToMin
+from mrsim.slc import StopPredicate, run_slc
 
 
 class PerNodeHashToMin(HashToMin):
@@ -141,3 +142,31 @@ def test_columnar_results_hold_python_ints(columnar_rounds):
         assert res.converged and _all_ints(res)
         json.dumps([res.final, res.components, res.snapshots, res.per_round[0].__dict__])
     assert columnar_rounds
+
+
+def test_run_slc_growth_columnar_matches_per_node(monkeypatch, columnar_rounds):
+    graphs = [gen_random(n, p, seed=seed, weighted=True)
+              for seed, (n, p) in enumerate([(12, 0.0), (30, 0.04), (40, 0.08),
+                                             (50, 0.15), (60, 0.3), (80, 0.06),
+                                             (70, 0.1)])]
+    graphs += [Graph(0, [], weights={}), Graph(1, [], weights={})]
+    # A disconnected graph never stops (an isolated node's core never
+    # does), so those runs go to the fixpoint; the connected ones stop.
+    preds = [StopPredicate.parse(s) for s in ("dist:0.2", "dist:0.6", "size:3",
+                                              "size:10", "never")]
+    fast = []
+    for g in graphs:
+        for pred in preds:
+            cache = {}
+            before = len(columnar_rounds)
+            res = run_slc(g, "hash-to-min", pred, 1000, cache)
+            assert len(columnar_rounds) - before == res.rounds
+            fast.append((res, set(cache)))
+    monkeypatch.setitem(slc._SLC_SCHEMES, "hash-to-min", PerNodeHashToMin)
+    slow = []
+    for g in graphs:
+        for pred in preds:
+            cache = {}
+            slow.append((run_slc(g, "hash-to-min", pred, 1000, cache), set(cache)))
+    assert len(columnar_rounds) == sum(res.rounds for res, _ in fast)
+    assert slow == fast

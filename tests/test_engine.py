@@ -8,7 +8,7 @@ import pytest
 from mrsim.engine import (EngineFault, merge_sorted_dedup, result_to_json, run,
                           step)
 from mrsim.graph import Graph, gen_path, gen_random
-from mrsim.schemes import AlternatingHGTM, HashMin, HashToMin
+from mrsim.schemes import AlternatingHGTM, HashMin, HashToMin, LbHashToMin
 
 
 def test_merge_sorted_dedup_examples():
@@ -147,6 +147,56 @@ def test_convergence_checked_on_super_step_boundaries():
     res = run(gen_path(2), AlternatingHGTM(), 100)
     assert res.converged
     assert res.rounds % 3 == 0
+
+
+class _Stops:
+    """A stop test that holds from its k-th call on and keeps what it saw."""
+
+    def __init__(self, k):
+        self.k = k
+        self.seen = []
+
+    def __call__(self, state):
+        self.seen.append(state)
+        return len(self.seen) >= self.k
+
+
+class _NoFinalize(LbHashToMin):
+    def finalize(self, g, result, max_rounds):
+        raise AssertionError("finalize ran on a stopped run")
+
+
+def test_stop_ends_the_run_before_export_and_finalize():
+    g = gen_path(64)
+    full = run(g, LbHashToMin(2), 100, record=True)
+    phase1 = full.phase_split
+    assert phase1 > 3
+    for k in (1, 3, phase1):
+        # k == phase1 is the round that confirms the fixpoint: stop is
+        # checked first and wins.
+        stop = _Stops(k)
+        res = run(g, _NoFinalize(2), 100, stop=stop)
+        assert (res.rounds, res.stopped, res.converged) == (k, True, False)
+        assert res.components is None and res.phase_split is None
+        assert res.per_round == full.per_round[:k]
+        assert res.final == full.snapshots[k]
+        assert stop.seen == full.snapshots[1:k + 1]
+    res = run(g, LbHashToMin(2), 100, stop=lambda st: False)
+    assert not res.stopped
+    assert result_to_json(res) == result_to_json(full)
+
+
+def test_stop_sees_python_ints_on_the_columnar_path():
+    g = gen_random(50, 0.04, seed=2)
+    ref = run(g, HashToMin(), 100, record=True)
+    stop = _Stops(ref.rounds + 1)
+    res = run(g, HashToMin(), 100, stop=stop)
+    assert res.converged and not res.stopped
+    assert stop.seen == ref.snapshots[1:]
+    for state in stop.seen:
+        assert type(state) is tuple and len(state) == g.n
+        assert all(type(c) is tuple for c in state)
+        assert all(type(x) is int for c in state for x in c)
 
 
 class _CountingScheme:

@@ -1,0 +1,85 @@
+"""Property tests for the component schemes on small generated graphs.
+
+Every gate variant, plus hash-to-min-lb at tau=2, runs on the columnar path
+(hash-to-min's hash_arrays, also used by lb's phase 2) and on the per-node
+path (hash_arrays hidden). Both must agree byte for byte, converge to the
+union-find partition and to networkx's, and keep every recorded cluster
+strictly increasing within 0..n-1.
+"""
+
+from math import inf
+from unittest import mock
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mrsim import schemes
+from mrsim.engine import result_to_json, run
+from mrsim.graph import Graph
+from mrsim.oracle import union_find_components
+
+VARIANTS = [("hash-min", None), ("hash-to-all", None), ("hash-to-min", None),
+            ("hgtm-alt", None), ("hash-to-min-lb", 1), ("hash-to-min-lb", 2),
+            ("hash-to-min-lb", 5), ("hash-to-min-lb", inf)]
+
+
+class PerNodeHashToMin(schemes.HashToMin):
+    hash_arrays = None
+
+
+@st.composite
+def graphs(draw, max_n=40):
+    """A graph on at most max_n nodes under a random relabeling: a random
+    edge set of up to 2n edges (often disconnected, with isolated nodes),
+    a path, a star, or a set of disjoint paths. n <= 1 is drawn often."""
+    n = draw(st.one_of(st.integers(0, 1), st.integers(0, max_n)))
+    kind = draw(st.sampled_from(["random", "path", "star", "paths"]))
+    if kind == "random":
+        node = st.integers(0, max(n - 1, 0))
+        pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+        edges = {(min(e), max(e)) for e in pairs if e[0] != e[1]}
+    elif kind == "path":
+        edges = {(v, v + 1) for v in range(n - 1)}
+    elif kind == "star":
+        edges = {(0, v) for v in range(1, n)}
+    else:
+        cuts = draw(st.sets(st.integers(0, max(n - 2, 0))))
+        edges = {(v, v + 1) for v in range(n - 1) if v not in cuts}
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, sorted((perm[u], perm[v]) for u, v in edges))
+
+
+def nx_components(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return sorted(tuple(sorted(c)) for c in nx.connected_components(h))
+
+
+def run_variant(g, name, tau, per_node):
+    scheme = schemes.make_scheme(name, tau)
+    if not per_node:
+        return run(g, scheme, 100000, record=True)
+    scheme.hash_arrays = None
+    # lb's finalize builds its phase-2 scheme from the module global.
+    with mock.patch.object(schemes, "HashToMin", PerNodeHashToMin):
+        return run(g, scheme, 100000, record=True)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(graphs())
+def test_component_schemes_match_oracles_on_both_paths(g):
+    want = union_find_components(g)
+    assert want == nx_components(g)
+    for name, tau in VARIANTS:
+        fast = run_variant(g, name, tau, per_node=False)
+        slow = run_variant(g, name, tau, per_node=True)
+        assert result_to_json(fast) == result_to_json(slow), (name, tau)
+        assert fast.snapshots == slow.snapshots, (name, tau)
+        assert fast.converged and fast.components == want, (name, tau)
+        for snap in fast.snapshots:
+            assert len(snap) == g.n
+            for c in snap:
+                assert all(0 <= v < g.n for v in c), (name, tau, c)
+                assert all(a < b for a, b in zip(c, c[1:])), (name, tau, c)

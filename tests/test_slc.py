@@ -77,8 +77,15 @@ def test_stop_predicate_local_uses_merge_tree_edges():
     assert d.local(g, (0, 1, 2, 3))
     assert size_threshold(3).local(g, (0, 1, 2, 3))
     assert not size_threshold(4).local(g, (0, 1, 2, 3))
-    with pytest.raises(GraphError):
-        d.local(g, (0, 3))
+    # Every predicate reads the merge tree, so each needs a connected,
+    # nonempty cluster of a weighted graph.
+    for pred in (d, size_threshold(1), never_stop()):
+        with pytest.raises(GraphError):
+            pred.local(g, (0, 3))
+        with pytest.raises(GraphError):
+            pred.local(g, ())
+        with pytest.raises(GraphError):
+            pred.local(gen_path(4), (0, 1))
 
 
 def test_stop_predicate_monotone_along_merge_tree():
