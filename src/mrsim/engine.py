@@ -9,8 +9,11 @@ messages keeps nothing implicitly.
 
 A scheme whose reduce is a plain set union may also offer hash_arrays, the
 array form of its hash. run then keeps the state as CSR arrays and does the
-union and the metrics with numpy; the per-node hash and merge stay the spec
-that step runs.
+union and the metrics with numpy: a sort of (key, id) codes for hash-to-min
+and both phases of hash-to-min-lb, a boolean sparse product for
+hash-to-all, which ships whole clusters. The per-node hash and merge stay
+the spec that step runs; hash-min, hgtm-alt and any wrapped scheme without
+hash_arrays run on it.
 
 run is the one round driver: component runs go to convergence, and
 single-linkage growth passes its stop check as run's stop test.
@@ -22,6 +25,7 @@ from itertools import chain, islice
 from operator import eq, lt
 
 import numpy as np
+from scipy import sparse
 
 
 class EngineFault(Exception):
@@ -129,14 +133,18 @@ def _same_csr(a, b):
 
 
 def _columnar_step(g, scheme, state, rnd):
-    """One round on CSR state: scheme.hash_arrays emits (key, id) pairs and
-    each node's new cluster is the set of ids sent to it. Checks and metrics
-    match step's for a scheme whose merge is merge_sorted_dedup."""
+    """One round on CSR state. scheme.hash_arrays returns (keys, vals,
+    messages). When vals is an array, keys[i] is sent the id vals[i], and
+    keys, an array of its own, is overwritten; when vals is None, keys[i]
+    is sent the whole cluster of the node that holds ids[i]. Each node's new
+    cluster is the set of ids sent to it. Checks and metrics match step's
+    for a scheme whose merge is merge_sorted_dedup."""
     n = g.n
     lens, ids = state
-    keys, vals = scheme.hash_arrays(rnd, lens, ids, g)
+    keys, vals, messages = scheme.hash_arrays(rnd, lens, ids, g)
+    messages = int(messages)
     for what, a in (("held id", ids), ("key", keys), ("sent id", vals)):
-        if a.size and (a.min() < 0 or a.max() >= n):
+        if a is not None and a.size and (a.min() < 0 or a.max() >= n):
             bad = a[(a < 0) | (a >= n)][0]
             raise EngineFault("round %d: %s %d outside 0..%d" % (rnd, what, bad, n - 1))
     # With every id in range, row * n + id increases strictly over the
@@ -144,13 +152,49 @@ def _columnar_step(g, scheme, state, rnd):
     rows = np.repeat(np.arange(n, dtype=ids.dtype), lens)
     if not (np.diff(rows * n + ids) > 0).all():
         raise EngineFault("round %d: a cluster was not sorted strictly increasing" % rnd)
+    del rows
+    if vals is None:
+        return _whole_cluster_union(n, lens, ids, keys, messages, rnd)
     # The set union: sort and drop repeats (np.unique, hash-based in
-    # numpy 2.4, took over 20 times as long on these arrays).
-    code = np.sort(keys * n + vals)
-    code = code[np.diff(code, prepend=-1) > 0]
-    new = np.bincount(code // n, minlength=n), code % n
+    # numpy 2.4, took over 20 times as long on these arrays). The
+    # temporaries are freed or reused as soon as they are spent, since
+    # the pairs outnumber the held ids.
     max_in = int(np.bincount(keys, minlength=n).max()) if n else 0
-    return new, RoundMetrics(rnd, ids.size, keys.size, max_in, code.size)
+    volume = keys.size
+    code = keys
+    code *= n
+    code += vals
+    del keys, vals
+    code.sort()
+    keep = np.empty(code.size, bool)
+    if code.size:
+        keep[0] = True
+        np.not_equal(code[1:], code[:-1], out=keep[1:])
+    code = code[keep]
+    del keep
+    new = np.bincount(code // n, minlength=n), code % n
+    return new, RoundMetrics(rnd, messages, volume, max_in, code.size)
+
+
+def _whole_cluster_union(n, lens, ids, keys, messages, rnd):
+    """The union when every key receives its holder's whole cluster: with
+    the state as a boolean matrix A (A[v, x] when v holds x) and K the
+    same for the keys, the new clusters are the rows of K^T A. No (key, id)
+    pair is built, so memory stays near the sum of the cluster sizes, not
+    of their squares. The data is bool so that a sum never wraps to 0."""
+    indptr = np.zeros(n + 1, np.intp)
+    np.cumsum(lens, out=indptr[1:])
+    ones = np.ones(ids.size, bool)
+    held = sparse.csr_array((ones, ids, indptr), shape=(n, n))
+    sent = sparse.csr_array((ones, keys, indptr), shape=(n, n))
+    union = (sent.T @ held).tocsr()
+    union.sort_indices()
+    new = np.diff(union.indptr).astype(np.intp), union.indices.astype(ids.dtype)
+    # Each key receives |C| ids from every cluster C that sends to it.
+    got = np.repeat(lens, lens)
+    max_in = int(np.bincount(keys, weights=got, minlength=n).max()) if n else 0
+    volume = int(got.sum())
+    return new, RoundMetrics(rnd, messages, volume, max_in, union.nnz)
 
 
 def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):
@@ -162,9 +206,10 @@ def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):
     round with the state as a tuple of clusters, before the convergence
     test; when it returns true the run ends with stopped=True and
     converged=False, and export and finalize are skipped. A scheme with
-    hash_arrays runs on CSR state through _columnar_step instead of step,
-    and its final state, snapshots and the states stop sees are tuples of
-    Python ints, as step's are.
+    hash_arrays (hash-to-min, hash-to-min-lb, hash-to-all) runs on CSR
+    state through _columnar_step instead of step, and its final state,
+    snapshots and the states stop sees are tuples of Python ints, as step's
+    are. hash-min, hgtm-alt and wrapped schemes take step.
     """
     if max_rounds < 1:
         raise EngineFault("max_rounds must be at least 1")

@@ -2,8 +2,10 @@
 
 Every node state is a strictly increasing tuple of node ids (a "cluster").
 Each scheme provides init_state, hash (emit (key, payload) messages), merge,
-and export (read components off a converged state). HashToMin also offers
-hash_arrays, its hash on the engine's CSR state, which engine.run uses.
+and export (read components off a converged state). HashToMin (and so
+LbHashToMin) and HashToAll also offer hash_arrays, their hash on the
+engine's CSR state, which engine.run uses; HashMin and AlternatingHGTM,
+whose reduce is not a plain union, run per node.
 """
 
 from bisect import bisect_left, bisect_right
@@ -81,6 +83,11 @@ class HashToAll:
     def merge(self, rnd, v, payloads, prev):
         return merge_sorted_dedup(payloads)
 
+    def hash_arrays(self, rnd, lens, ids, g):
+        """hash on CSR state: every held id receives its holder's whole
+        cluster (vals None), one message per held id."""
+        return ids, None, ids.size
+
     def export(self, g, state):
         return sorted(dict.fromkeys(st for st in state if st))
 
@@ -90,6 +97,7 @@ class HashToMin:
 
     name = "hash-to-min"
     check_every = 1
+    tau = inf
 
     def init_state(self, g):
         return _closed_neighborhoods(g)
@@ -108,14 +116,24 @@ class HashToMin:
         return merge_sorted_dedup(payloads)
 
     def hash_arrays(self, rnd, lens, ids, g):
-        """hash on CSR state as (key, id) pairs: every id of a cluster to
-        its minimum, and the minimum to every other member."""
+        """hash on CSR state: (key, id) pairs and the message count. Each
+        held id goes to a target and the target to every other member. The
+        target is the cluster minimum; in a cluster larger than tau (only
+        LbHashToMin sets one) an id greater than the holder v has v as its
+        target instead, and that half is a message of its own."""
         held = lens > 0
         starts = (np.cumsum(lens) - lens)[held]
-        mins = np.repeat(ids[starts], lens[held])
-        rest = np.ones(ids.size, bool)
-        rest[starts] = False
-        return np.concatenate((mins, ids[rest])), np.concatenate((ids, mins[rest]))
+        target = np.repeat(ids[starts], lens[held])
+        messages = ids.size
+        big = lens > self.tau
+        if big.any():
+            rows = np.repeat(np.arange(lens.size, dtype=ids.dtype), lens)
+            high = big[rows] & (ids > rows)
+            target[high] = rows[high]
+            messages += np.count_nonzero(np.logical_or.reduceat(high, starts))
+        rest = ids != target
+        return (np.concatenate((target, ids[rest])),
+                np.concatenate((ids, target[rest])), messages)
 
     def export(self, g, state):
         return _export_min_labeled(g, state)
@@ -198,9 +216,6 @@ class LbHashToMin(HashToMin):
     share, which on dense randoms can exceed plain hash-to-min."""
 
     name = "hash-to-min-lb"
-    # Phase 1 splits large clusters, so it runs the per-node hash; phase 2
-    # in finalize is a plain HashToMin run.
-    hash_arrays = None
 
     def __init__(self, tau=inf):
         if tau != inf:

@@ -325,7 +325,7 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
     """Grow, stop, repair. Returns the final clustering as a partition.
 
     Growth is an engine.run of the scheme with stop_round as its stop test,
-    so hash-to-min growth takes the columnar round. A run that stops or
+    so both growth schemes take the columnar round. A run that stops or
     reaches its fixpoint counts as converged."""
     if g.weights is None:
         raise GraphError("single-linkage clustering needs edge weights")

@@ -1,27 +1,66 @@
-"""The columnar hash-to-min round against the per-node spec.
+"""The columnar rounds against the per-node spec.
 
-run takes a CSR path for a scheme with hash_arrays. PerNodeHashToMin hides
-it, so the same scheme runs through step, hash and merge_sorted_dedup; the
-two must agree byte for byte, fail the same contract checks and hand back
-only Python ints. The same holds for hash-to-min growth in run_slc.
+run takes a CSR path for a scheme with hash_arrays: hash-to-min and
+hash-to-min-lb on the sort union, hash-to-all on the sparse product.
+Setting hash_arrays to None on an instance hides it, so the same scheme runs
+through step, hash and merge_sorted_dedup; the two must agree byte for
+byte, fail the same contract checks and hand back only Python ints. The
+same holds for run_slc growth.
 """
 
 import json
+import tracemalloc
 from math import inf
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from mrsim import engine, schemes, slc
-from mrsim.engine import EngineFault, result_to_json, run
+from mrsim.engine import EngineFault, merge_sorted_dedup, result_to_json, run
 from mrsim.graph import (Graph, gen_complete_binary_tree, gen_path, gen_random,
                          gen_star, relabel_random)
-from mrsim.schemes import HashToMin, LbHashToMin
+from mrsim.schemes import HashToAll, HashToMin, LbHashToMin
 from mrsim.slc import StopPredicate, run_slc
 
 
 class PerNodeHashToMin(HashToMin):
     hash_arrays = None
+
+
+class PerNodeHashToAll(HashToAll):
+    hash_arrays = None
+
+
+class ToMinOnly:
+    """A union scheme whose pairs are not symmetric: every cluster goes to
+    its minimum and nothing comes back. A key's intake then differs from
+    the number of times its id is sent, which hash-to-min and lb cannot
+    tell apart."""
+
+    name = "to-min-only"
+    check_every = 1
+
+    def init_state(self, g):
+        return HashToMin().init_state(g)
+
+    def hash(self, rnd, v, st, g):
+        return [(st[0], st)] if st else []
+
+    def merge(self, rnd, v, payloads, prev):
+        return merge_sorted_dedup(payloads)
+
+    def hash_arrays(self, rnd, lens, ids, g):
+        held = lens > 0
+        starts = (np.cumsum(lens) - lens)[held]
+        return np.repeat(ids[starts], lens[held]), ids, np.count_nonzero(held)
+
+    def export(self, g, state):
+        return [st for st in state if st]
+
+
+SCHEMES = {"hash-to-min": HashToMin, "hash-to-all": HashToAll,
+           "hash-to-min-lb": lambda: LbHashToMin(1)}
 
 
 @pytest.fixture
@@ -37,9 +76,26 @@ def columnar_rounds(monkeypatch):
     return calls
 
 
-def _assert_same(g, fast, slow, initial_state=None):
-    a = run(g, fast, 100000, initial_state=initial_state, record=True)
-    b = run(g, slow, 100000, initial_state=initial_state, record=True)
+def _per_node(make):
+    """Runs make()'s scheme with hash_arrays hidden, and lb's phase 2
+    (built in finalize from the module global) per node too."""
+    scheme = make()
+    scheme.hash_arrays = None
+
+    def run_it(g, *args, **kwargs):
+        with mock.patch.object(schemes, "HashToMin", PerNodeHashToMin):
+            return run(g, scheme, *args, **kwargs)
+    return run_it
+
+
+def _assert_same(g, make, calls, initial_state=None):
+    """make()'s run takes the columnar round every round, the per-node run
+    never does, and the two agree byte for byte."""
+    before = len(calls)
+    a = run(g, make(), 100000, initial_state=initial_state, record=True)
+    assert len(calls) - before == a.rounds
+    b = _per_node(make)(g, 100000, initial_state=initial_state, record=True)
+    assert len(calls) - before == a.rounds
     assert result_to_json(a, seed=1) == result_to_json(b, seed=1)
     assert a.final == b.final
     assert a.snapshots == b.snapshots
@@ -47,33 +103,53 @@ def _assert_same(g, fast, slow, initial_state=None):
     return a
 
 
-def _graphs():
+def _graphs(gossip=False, top=300):
+    """The inputs of the per-node comparisons. gossip caps them as the
+    benchmark caps hash-to-all, whose clusters grow quadratically in
+    component size: paths at 64 ids, trees at 255, stars at 129. top is
+    the length of the path over the top ids of a 2^16-node graph, where
+    every per-node round is a loop over 2^16 nodes."""
     for seed, (n, p) in enumerate([(1, 0.0), (40, 0.0), (60, 0.01), (80, 0.03),
                                    (120, 0.02), (150, 0.05), (200, 0.005)]):
         yield gen_random(n, p, seed=seed)
     # In id order a path's clusters grow quadratically, hence the acceptance
     # gate's cap of 512 for hash-to-min there.
-    for size in (16, 64, 256, 512):
+    for size in (16, 64) if gossip else (16, 64, 256, 512):
         yield gen_path(size)
-    for size in (15, 63, 255, 1023, 4095):
+    for size in (15, 63, 255) if gossip else (15, 63, 255, 1023, 4095):
         yield gen_complete_binary_tree(size)
-    for size in (17, 129, 1025, 4097):
+    for size in (17, 129) if gossip else (17, 129, 1025, 4097):
         yield gen_star(size)
-    for exp in range(5, 13):
+    for exp in range(5, 7 if gossip else 13):
         yield relabel_random(gen_path(2 ** exp), exp)[0]
-    # 2^16 nodes: key * n + id codes need int64; the path runs over the top ids.
+    # 2^16 nodes: key * n + id codes need int64.
     n = 2 ** 16
-    yield Graph(n, [(v, v + 1) for v in range(n - 300, n - 1)] + [(0, n - 1)])
+    yield Graph(n, [(v, v + 1) for v in range(n - top, n - 1)] + [(0, n - 1)])
     yield Graph(0, [])
     yield Graph(1, [])
 
 
 def test_columnar_hash_to_min_matches_per_node(columnar_rounds):
     for g in _graphs():
-        before = len(columnar_rounds)
-        res = _assert_same(g, HashToMin(), PerNodeHashToMin())
-        assert res.converged
-        assert len(columnar_rounds) - before == res.rounds
+        assert _assert_same(g, HashToMin, columnar_rounds).converged
+
+
+def test_columnar_hash_to_all_matches_per_node(columnar_rounds):
+    for g in _graphs(gossip=True, top=40):
+        assert _assert_same(g, HashToAll, columnar_rounds).converged
+
+
+def test_columnar_load_capped_matches_per_node(columnar_rounds):
+    # At tau 1 a path in id order takes a round per node.
+    for g in _graphs(top=8):
+        assert _assert_same(g, SCHEMES["hash-to-min-lb"], columnar_rounds).converged
+
+
+def test_columnar_asymmetric_union_matches_per_node(columnar_rounds):
+    """Per-key intake is counted from the keys: a count taken from the sent
+    ids agrees with it only while every pair has its mirror."""
+    for g in _graphs():
+        assert _assert_same(g, ToMinOnly, columnar_rounds).converged
 
 
 def test_array_width_follows_n():
@@ -84,23 +160,30 @@ def test_array_width_follows_n():
 def test_columnar_worked_trace_with_empty_states(columnar_rounds):
     g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5)])
     init = [(), (1, 2, 4), (), (), (), (3, 4, 5)]
-    res = _assert_same(g, HashToMin(), PerNodeHashToMin(), initial_state=init)
-    assert res.snapshots[1] == ((), (1, 2, 4), (1,), (3, 4, 5), (1, 3), (3,))
-    assert columnar_rounds
+    # lb at tau 1 splits (1, 2, 4) at its holder 1, whose high half (2, 4)
+    # stays on 1: the same clusters as hash-to-min, one message more.
+    want = {
+        "hash-to-min": ((), (1, 2, 4), (1,), (3, 4, 5), (1, 3), (3,)),
+        "hash-to-all": ((), (1, 2, 4), (1, 2, 4), (3, 4, 5), (1, 2, 3, 4, 5), (3, 4, 5)),
+        "hash-to-min-lb": ((), (1, 2, 4), (1,), (3, 4, 5), (1, 3), (3,)),
+    }
+    for name, make in SCHEMES.items():
+        res = _assert_same(g, make, columnar_rounds, initial_state=init)
+        assert res.snapshots[1] == want[name], name
+    res = _assert_same(g, ToMinOnly, columnar_rounds, initial_state=init)
+    assert res.snapshots[1] == ((), (1, 2, 4), (), (3, 4, 5), (), ())
+    assert res.per_round[0].messages == 2 and res.per_round[0].max_reducer_in == 3
 
 
 @pytest.mark.parametrize("tau", [1, 5, inf])
-def test_columnar_phase_two_of_load_capped(monkeypatch, columnar_rounds, tau):
+def test_columnar_load_capped_whole_run(columnar_rounds, tau):
+    """Both phases of lb take the columnar round, and the run equals one
+    made wholly per node."""
     graphs = [gen_random(150, 0.03, seed=4), gen_star(300), gen_path(200),
               relabel_random(gen_path(512), 3)[0]]
-    fast = [run(g, LbHashToMin(tau), 100000, record=True) for g in graphs]
-    assert len(columnar_rounds) == sum(r.rounds - r.phase_split for r in fast)
-    # finalize builds its phase-2 scheme from the module global.
-    monkeypatch.setattr(schemes, "HashToMin", PerNodeHashToMin)
-    for g, a in zip(graphs, fast):
-        b = run(g, LbHashToMin(tau), 100000, record=True)
-        assert result_to_json(a) == result_to_json(b)
-        assert (a.final, a.snapshots, a.phase_split) == (b.final, b.snapshots, b.phase_split)
+    for g in graphs:
+        res = _assert_same(g, lambda: LbHashToMin(tau), columnar_rounds)
+        assert res.converged and 0 < res.phase_split < res.rounds
 
 
 @pytest.mark.parametrize("init, match", [
@@ -112,17 +195,21 @@ def test_columnar_phase_two_of_load_capped(monkeypatch, columnar_rounds, tau):
 ])
 def test_contract_faults_match_per_node(columnar_rounds, init, match):
     g = gen_path(4)
-    for scheme in (HashToMin(), PerNodeHashToMin()):
+    for make in SCHEMES.values():
         with pytest.raises(EngineFault, match=match):
-            run(g, scheme, 10, initial_state=init)
-    assert columnar_rounds == [1]
+            run(g, make(), 10, initial_state=init)
+        with pytest.raises(EngineFault, match=match):
+            _per_node(make)(g, 10, initial_state=init)
+    assert columnar_rounds == [1] * len(SCHEMES)
 
 
 def test_id_too_large_for_the_arrays_is_outside(columnar_rounds):
     init = [(0,), (1, 2 ** 40), (2,), (3,)]
-    for scheme in (HashToMin(), PerNodeHashToMin()):
+    for make in SCHEMES.values():
         with pytest.raises(EngineFault, match="outside"):
-            run(gen_path(4), scheme, 10, initial_state=init)
+            run(gen_path(4), make(), 10, initial_state=init)
+        with pytest.raises(EngineFault, match="outside"):
+            _per_node(make)(gen_path(4), 10, initial_state=init)
     assert columnar_rounds == []
 
 
@@ -137,11 +224,28 @@ def _all_ints(res):
 
 
 def test_columnar_results_hold_python_ints(columnar_rounds):
-    for g in (gen_random(90, 0.03, seed=2), Graph(0, []), Graph(1, [])):
-        res = run(g, HashToMin(), 1000, record=True)
-        assert res.converged and _all_ints(res)
-        json.dumps([res.final, res.components, res.snapshots, res.per_round[0].__dict__])
+    for make in SCHEMES.values():
+        for g in (gen_random(90, 0.03, seed=2), Graph(0, []), Graph(1, [])):
+            res = run(g, make(), 1000, record=True)
+            assert res.converged and _all_ints(res)
+            json.dumps([res.final, res.components, res.snapshots, res.per_round[0].__dict__])
     assert columnar_rounds
+
+
+def test_gossip_round_memory_stays_near_the_state():
+    """hash-to-all's last round on the 255-node tree ships 16.6 M ids; as
+    (key, id) pairs that alone is over 126 MiB. The product union needs a
+    few MiB."""
+    g = gen_complete_binary_tree(255)
+    run(g, HashToAll(), 100)
+    tracemalloc.start()
+    try:
+        res = run(g, HashToAll(), 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.per_round[-1].node_id_volume == 255 ** 3
+    assert peak < 16 * 2 ** 20
 
 
 def test_run_slc_growth_columnar_matches_per_node(monkeypatch, columnar_rounds):
@@ -154,19 +258,22 @@ def test_run_slc_growth_columnar_matches_per_node(monkeypatch, columnar_rounds):
     # does), so those runs go to the fixpoint; the connected ones stop.
     preds = [StopPredicate.parse(s) for s in ("dist:0.2", "dist:0.6", "size:3",
                                               "size:10", "never")]
-    fast = []
-    for g in graphs:
-        for pred in preds:
-            cache = {}
-            before = len(columnar_rounds)
-            res = run_slc(g, "hash-to-min", pred, 1000, cache)
-            assert len(columnar_rounds) - before == res.rounds
-            fast.append((res, set(cache)))
+    algos = ("hash-to-min", "hash-to-all")
+
+    def runs():
+        out = []
+        for algo in algos:
+            for g in graphs:
+                for pred in preds:
+                    cache = {}
+                    before = len(columnar_rounds)
+                    res = run_slc(g, algo, pred, 1000, cache)
+                    out.append((res, set(cache), len(columnar_rounds) - before))
+        return out
+    fast = runs()
+    assert all(res.rounds == calls for res, _, calls in fast)
     monkeypatch.setitem(slc._SLC_SCHEMES, "hash-to-min", PerNodeHashToMin)
-    slow = []
-    for g in graphs:
-        for pred in preds:
-            cache = {}
-            slow.append((run_slc(g, "hash-to-min", pred, 1000, cache), set(cache)))
-    assert len(columnar_rounds) == sum(res.rounds for res, _ in fast)
-    assert slow == fast
+    monkeypatch.setitem(slc._SLC_SCHEMES, "hash-to-all", PerNodeHashToAll)
+    slow = runs()
+    assert all(calls == 0 for _, _, calls in slow)
+    assert [f[:2] for f in slow] == [f[:2] for f in fast]

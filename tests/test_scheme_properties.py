@@ -1,8 +1,8 @@
 """Property tests for the component schemes on small generated graphs.
 
-Every gate variant, plus hash-to-min-lb at tau=2, runs on the columnar path
-(hash-to-min's hash_arrays, also used by lb's phase 2) and on the per-node
-path (hash_arrays hidden). Both must agree byte for byte, converge to the
+Every gate variant, plus hash-to-min-lb at tau=2, runs as run drives it
+(hash-to-min, both phases of lb and hash-to-all on the columnar round) and
+on the per-node path (hash_arrays hidden, lb's phase 2 included). Both must agree byte for byte, converge to the
 union-find partition and to networkx's, and keep every recorded cluster
 strictly increasing within 0..n-1.
 """
