@@ -1,8 +1,9 @@
 """Command line driver: generate graphs, run schemes, sweep bounds, cluster.
 
 Exit codes: 0 success/converged, 1 usage or input error (a bad count such as
---max-rounds 0, or a broken engine contract), 2 round budget exhausted before
-convergence, 3 verification mismatch.
+--max-rounds 0, a bad --tau, an unwritable --out, or a broken engine
+contract), 2 round budget exhausted before convergence, 3 verification
+mismatch.
 """
 
 import argparse
@@ -66,17 +67,6 @@ def _positive_int(text):
     return value
 
 
-def _parse_tau(text):
-    if text is None:
-        return None
-    if text == "inf":
-        return math.inf
-    try:
-        return int(text)
-    except ValueError:
-        raise GraphError("tau must be a positive integer or inf, got %r" % text) from None
-
-
 def _parse_seeds(args):
     if args.seed_list:
         try:
@@ -97,8 +87,11 @@ def cmd_gen(args):
     g = parse_graph_spec(args.graph, weighted=args.weighted, seed=args.graph_seed)
     text = dump_edge_list(g)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise GraphError("cannot write %r: %s" % (args.out, exc)) from None
     else:
         sys.stdout.write(text)
     return 0
@@ -106,7 +99,6 @@ def cmd_gen(args):
 
 def cmd_run(args):
     g = parse_graph_spec(args.graph, weighted=args.weighted, seed=args.graph_seed)
-    scheme_tau = _parse_tau(args.tau)
     seeds = _parse_seeds(args)
     verify = args.verify
     if verify and g.n > _VERIFY_CAP:
@@ -117,7 +109,7 @@ def cmd_run(args):
     any_mismatch = False
     for seed in seeds:
         gs = _ordered(g, seed)
-        scheme = make_scheme(args.algo, scheme_tau)
+        scheme = make_scheme(args.algo, args.tau)
         result = engine.run(gs, scheme, args.max_rounds)
         if not result.converged:
             any_unconverged = True
@@ -161,7 +153,6 @@ def cmd_sweep(args):
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
         raise GraphError("bad --sizes %r" % args.sizes) from None
-    scheme_tau = _parse_tau(args.tau)
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["n", "d", "log2_d", "rounds_worst", "bound_2log2d",
@@ -174,7 +165,7 @@ def cmd_sweep(args):
         state_maxes = []
         for seed in range(args.seeds_per_size):
             gs = _ordered(g, seed)
-            scheme = make_scheme(args.algo, scheme_tau)
+            scheme = make_scheme(args.algo, args.tau)
             result = engine.run(gs, scheme, args.max_rounds)
             if not result.converged:
                 exhausted = True
@@ -248,7 +239,8 @@ def build_parser():
     r = sub.add_parser("run", parents=[common], help="run a component scheme")
     r.add_argument("--algo", choices=SCHEME_NAMES, default="hash-to-min")
     r.add_argument("--weighted", action="store_true")
-    r.add_argument("--tau", help="reducer load threshold for hash-to-min-lb (int or inf)")
+    r.add_argument("--tau", type=float,
+                   help="reducer load threshold for hash-to-min-lb (integer >= 1 or inf)")
     r.add_argument("--seeds", type=_positive_int, default=1,
                    help="run orderings 0..N-1, N >= 1 (ordering 0 = as built)")
     r.add_argument("--seed-list", help="comma-separated ordering seeds")
@@ -263,7 +255,8 @@ def build_parser():
     s.add_argument("--sizes", required=True, help="comma-separated node counts")
     s.add_argument("--seeds-per-size", type=_positive_int, default=3)
     s.add_argument("--algo", choices=SCHEME_NAMES, default="hash-to-min")
-    s.add_argument("--tau")
+    s.add_argument("--tau", type=float,
+                   help="reducer load threshold for hash-to-min-lb (integer >= 1 or inf)")
     s.add_argument("--max-rounds", type=_positive_int, default=10000)
     s.set_defaults(fn=cmd_sweep)
 

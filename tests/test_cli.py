@@ -82,11 +82,20 @@ def test_usage_and_input_errors(capsys):
     assert exc.value.code == 1
     capsys.readouterr()
     assert run_cli(capsys, "run", "--graph", "nope")[0] == 1
-    assert run_cli(capsys, "run", "--graph", "path:8", "--tau", "x")[0] == 1
     assert run_cli(capsys, "run", "--graph", "path:8", "--algo", "hash-min",
                    "--tau", "4")[0] == 1
     assert run_cli(capsys, "run", "--graph", "file:/no/such/file")[0] == 1
-    for argv in (["run", "--graph", "path:8", "--max-rounds", "0"],
+    # Bad input found after parsing: main returns 1 with an error line.
+    for argv in (["run", "--graph", "path:8", "--algo", "hash-to-min-lb", "--tau=-inf"],
+                 ["run", "--graph", "path:8", "--algo", "hash-to-min-lb", "--tau", "nan"],
+                 ["sweep", "--family", "path", "--sizes", "8",
+                  "--algo", "hash-to-min-lb", "--tau", "2.5"],
+                 ["gen", "--graph", "path:8", "--out", "/nonexistent/dir/g.txt"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
+    for argv in (["run", "--graph", "path:8", "--tau", "x"],
+                 ["run", "--graph", "path:8", "--max-rounds", "0"],
                  ["run", "--graph", "path:8", "--seeds", "0"],
                  ["sweep", "--family", "path", "--sizes", "8", "--seeds-per-size", "0"],
                  ["slc", "--graph", "random:10:0.5", "--max-rounds", "0"]):

@@ -37,12 +37,13 @@ def test_make_scheme_names_and_validation():
         make_scheme("nope")
     with pytest.raises(ValueError):
         make_scheme("hash-min", tau=3)
-    with pytest.raises(ValueError):
-        LbHashToMin(0)
-    with pytest.raises(ValueError):
-        LbHashToMin(2.5)
+    # tau >= 1 is tested before int(tau): -inf and nan would fail in int().
+    for bad in (-float("inf"), float("nan"), 0, 2.5, "3"):
+        with pytest.raises(ValueError, match="positive integer or inf"):
+            make_scheme("hash-to-min-lb", tau=bad)
     assert make_scheme("hash-to-min-lb").tau == float("inf")
     assert make_scheme("hash-to-min-lb", tau=5).tau == 5
+    assert type(make_scheme("hash-to-min-lb", tau=5.0).tau) is int
 
 
 def test_hash_min_path3_trace():
@@ -194,6 +195,22 @@ def test_lb_hub_split_caps_whole_run_peak_on_star():
     plain_max = max(m.max_reducer_in for m in plain.per_round)
     lb_max = max(m.max_reducer_in for m in lb.per_round)
     assert plain_max >= 10 * lb_max, (plain_max, lb_max)
+
+
+def test_lb_far_end_path_round_counts():
+    """The least id hangs off the largest end of a path. Phase 1 of lb then
+    moves the minimum about one hop a round at small tau. These counts pin
+    the present split rule; ROADMAP item 5 may change it, and must then edit
+    them on purpose."""
+    g = Graph(301, [(v, v + 1) for v in range(1, 300)] + [(0, 300)])
+    want = union_find_components(g)
+    for name, tau, rounds in [("hash-to-min", None, 11),
+                              ("hash-to-min-lb", None, 12),
+                              ("hash-to-min-lb", 1, 302),
+                              ("hash-to-min-lb", 5, 375)]:
+        res = run(g, make_scheme(name, tau=tau), 1000)
+        assert res.converged and res.components == want, (name, tau)
+        assert res.rounds == rounds, (name, tau)
 
 
 def test_all_schemes_agree_on_disconnected_graph():

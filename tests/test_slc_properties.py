@@ -1,7 +1,9 @@
 """Property tests for the clustering on small generated graphs: run_slc
-against the centralized oracle, and stop_round against a reference built
-only from the public cluster analysis."""
+against the centralized oracle and against a networkx minimum spanning
+forest cut at the distance threshold, and stop_round against a reference
+built only from the public cluster analysis."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +47,28 @@ def test_run_slc_matches_centralized(g, pred, algo):
     assert res.converged
     assert res.rounds == len(res.per_round)
     assert res.clusters == centralized_slc(g, *pred.key())
+
+
+def mst_cut(g, x):
+    """Single linkage at distance x, computed apart from mrsim: the
+    components left when every edge heavier than x is cut from networkx's
+    minimum spanning forest."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_weighted_edges_from((u, v, w) for w, u, v in g.sorted_edges())
+    forest = nx.minimum_spanning_tree(h)
+    forest.remove_edges_from([(u, v) for u, v, w in forest.edges(data="weight")
+                              if w > x])
+    return sorted(tuple(sorted(c)) for c in nx.connected_components(forest))
+
+
+@FUZZ
+@given(weighted_graphs(), st.floats(0.001, 1.0),
+       st.sampled_from(["hash-to-all", "hash-to-min"]))
+def test_run_slc_distance_matches_networkx_mst_cut(g, x, algo):
+    res = run_slc(g, algo, StopPredicate("dist", x), 100)
+    assert res.converged
+    assert res.clusters == mst_cut(g, x)
 
 
 def bfs_pieces(g, c):
