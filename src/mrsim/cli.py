@@ -18,9 +18,6 @@ from .graph import (GraphError, diameter, dump_edge_list, gen_complete_binary_tr
                     gen_path, gen_random, gen_star, load_edge_list, relabel_random)
 from .schemes import SCHEME_NAMES, make_scheme
 
-_VERIFY_CAP = 10_000
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -100,10 +97,6 @@ def cmd_gen(args):
 def cmd_run(args):
     g = parse_graph_spec(args.graph, weighted=args.weighted, seed=args.graph_seed)
     seeds = _parse_seeds(args)
-    verify = args.verify
-    if verify and g.n > _VERIFY_CAP:
-        sys.stderr.write("warning: --verify disabled above %d nodes\n" % _VERIFY_CAP)
-        verify = False
     rows = []
     any_unconverged = False
     any_mismatch = False
@@ -114,7 +107,7 @@ def cmd_run(args):
         if not result.converged:
             any_unconverged = True
         ok = None
-        if verify and result.converged:
+        if args.verify and result.converged:
             ok = result.components == oracle.union_find_components(gs)
             if not ok:
                 any_mismatch = True
@@ -184,12 +177,8 @@ def cmd_slc(args):
     g = parse_graph_spec(args.graph, weighted=True, seed=args.graph_seed)
     pred = slc.StopPredicate.parse(args.stop)
     result = slc.run_slc(g, args.algo, pred, args.max_rounds)
-    verify = args.verify
-    if verify and g.n > _VERIFY_CAP:
-        sys.stderr.write("warning: --verify disabled above %d nodes\n" % _VERIFY_CAP)
-        verify = False
     mismatch = False
-    if verify and result.converged:
+    if args.verify and result.converged:
         expect = oracle.centralized_slc(g, *pred.key())
         mismatch = result.clusters != expect
     if args.format == "json":

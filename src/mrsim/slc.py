@@ -5,17 +5,29 @@ closed neighborhoods) driven by engine.run, the distributed stop check is
 run's stop test after every round, and a final split-repair pass undoes
 merges the last rounds overshot.
 
-Cluster analysis (split, cores, maximal core decomposition) runs on the
-single-linkage merge forest of the cluster's induced subgraph, one tree per
-connected piece: removing the heaviest tree edge is the same as stepping down
-one merge, and a merge is "mutually nearest" exactly when neither side has an
-edge leaving the whole cluster lighter than the merge weight (any lighter
-edge staying inside would have merged earlier). That turns the recursive
-definitions into one linear walk per cluster. A piece's or a core's own
-merge tree is the subtree at its forest node, so the stop check and the
-repair build one forest per grown cluster and nothing more.
+Cluster analysis runs on single-linkage merge forests, all built by one
+Kruskal (_forest) on the subgraph induced by a member list, with the leaves
+laid out so that the members under each node are one slice. A cluster's own
+tree serves split, Stop_local and the connectivity checks: removing the
+heaviest tree edge is the same as stepping down one merge.
+
+Cores come off the forest of the whole graph, because a connected set is a
+core (every recursive split gives two mutually nearest halves) exactly when
+it is a node of that forest. By induction on size: split a set S at the top
+merge w of its own tree into halves A and B. The lightest edge between A and
+B weighs w, or S's tree would have joined them earlier.
+- S is a forest node iff A and B are and no edge leaving S weighs less than
+  w: then A and B meet nothing before the edge of weight w joins them, and a
+  lighter edge leaving S would have grown A or B first.
+- A and B are mutually nearest iff the lightest edge leaving each goes to
+  the other, that is iff no edge leaving S weighs less than w.
+A single node is both, and a core is a set whose halves are mutually nearest
+cores, so the two notions agree at every size. Two forest nodes are nested or disjoint. So the maximal cores of a cluster
+are the highest forest nodes whose slice lies inside it, and two distinct
+cores never tie for a node.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import inf
 
@@ -67,9 +79,8 @@ class StopPredicate:
     def local(self, g, c):
         """Stop_local on one connected cluster of a weighted graph: the rule
         on its size and its top merge-tree edge."""
-        a = _analyze(g, tuple(sorted(c)))
-        r = _root(a)
-        return self.stopped(a.size[r], a.topw[r])
+        f, r = _tree(g, c)
+        return self.stopped(f.size[r], f.topw[r])
 
     def key(self):
         return (self.kind, self.param)
@@ -94,107 +105,79 @@ def never_stop():
     return StopPredicate("never")
 
 
-class _Analysis:
-    """Merge forest of one cluster: leaves 0..k-1 are the members in the
-    given order, internal nodes follow in merge (ascending weight) order, and
-    roots holds the top of each connected piece's tree."""
+class _Forest:
+    """Merge forest of the subgraph induced by some members: leaves 0..k-1
+    are the members in the given order, internal nodes follow in merge
+    (ascending weight) order, top[i] is the root above leaf i and roots the
+    distinct tops. The members under node t are order[lo[t]:lo[t] + size[t]]."""
 
-    __slots__ = ("members", "size", "topw", "ok", "left", "right", "roots", "_sets")
+    __slots__ = ("order", "lo", "size", "topw", "left", "right", "top", "roots")
 
-    def __init__(self, members):
-        self.members = members
-        k = len(members)
-        self.size = [1] * k
-        self.topw = [0.0] * k
-        self.ok = [True] * k
-        self.left = [-1] * k
-        self.right = [-1] * k
-        self._sets = None
-
-    def node_members(self, t):
-        """Sorted member ids under merge-tree node t (cached per tree)."""
-        if self._sets is None:
-            self._sets = {}
-        got = self._sets.get(t)
-        if got is None:
-            out = []
-            stack = [t]
-            while stack:
-                x = stack.pop()
-                if self.left[x] < 0:
-                    out.append(self.members[x])
-                else:
-                    stack.append(self.left[x])
-                    stack.append(self.right[x])
-            out.sort()
-            got = tuple(out)
-            self._sets[t] = got
-        return got
+    def members(self, t):
+        """Sorted member ids under node t."""
+        lo = self.lo[t]
+        return tuple(sorted(self.order[lo:lo + self.size[t]]))
 
 
-def _analyze(g, c, cache=None):
-    if cache is not None:
-        hit = cache.get(c)
-        if hit is not None:
-            return hit
+def _forest(g, members):
+    """Kruskal on the subgraph of g induced by the sequence members."""
     if g.weights is None:
         raise GraphError("cluster analysis needs edge weights")
-    if len(c) == 0:
-        raise GraphError("empty cluster")
-    k = len(c)
-    idx = {v: i for i, v in enumerate(c)}
-    ext = [inf] * k
+    k = len(members)
+    idx = {v: i for i, v in enumerate(members)}
     edges = []
-    for i, u in enumerate(c):
+    for i, u in enumerate(members):
         for v in g.adj[u]:
-            w = g.weight(u, v)
             j = idx.get(v)
-            if j is None:
-                if w < ext[i]:
-                    ext[i] = w
-            elif i < j:
-                edges.append((w, i, j))
+            if j is not None and u < v:
+                edges.append((g.weights[u, v], i, j))
     edges.sort()
-    a = _Analysis(c)
-    min_ext = ext
+    f = _Forest()
+    f.size, f.topw, f.left, f.right = [1] * k, [0.0] * k, [-1] * k, [-1] * k
     uf = list(range(k))
 
     def find(x):
-        r = x
-        while uf[r] != r:
-            r = uf[r]
-        while uf[x] != r:
-            uf[x], x = r, uf[x]
-        return r
+        while uf[x] != x:
+            uf[x] = x = uf[uf[x]]
+        return x
 
     node_of = list(range(k))
-    nxt = k
     for w, i, j in edges:
         ri, rj = find(i), find(j)
         if ri == rj:
             continue
         ta, tb = node_of[ri], node_of[rj]
-        a.size.append(a.size[ta] + a.size[tb])
-        a.topw.append(w)
-        a.ok.append(a.ok[ta] and a.ok[tb]
-                    and min_ext[ta] > w and min_ext[tb] > w)
-        a.left.append(ta)
-        a.right.append(tb)
-        min_ext.append(min_ext[ta] if min_ext[ta] < min_ext[tb] else min_ext[tb])
+        f.size.append(f.size[ta] + f.size[tb])
+        f.topw.append(w)
+        f.left.append(ta)
+        f.right.append(tb)
         uf[ri] = rj
-        node_of[rj] = nxt
-        nxt += 1
-    a.roots = [node_of[r] for r in range(k) if uf[r] == r]
-    if cache is not None:
-        cache[c] = a
-    return a
+        node_of[rj] = len(f.size) - 1
+    f.top = [node_of[find(i)] for i in range(k)]
+    f.roots = list(dict.fromkeys(f.top))
+    f.lo = lo = [0] * len(f.size)
+    at = 0
+    for r in f.roots:
+        lo[r] = at
+        at += f.size[r]
+    # Parents come after their children, so walking down from the last node
+    # hands each child its part of the parent's slice, the left one in front.
+    for t in range(len(lo) - 1, k - 1, -1):
+        lo[f.left[t]] = lo[t]
+        lo[f.right[t]] = lo[t] + f.size[f.left[t]]
+    f.order = [members[i] for i in sorted(range(k), key=lo.__getitem__)]
+    return f
 
 
-def _root(a):
-    """The one tree root of a connected cluster's forest."""
-    if len(a.roots) != 1:
-        raise GraphError("cluster %r is not connected" % (a.members,))
-    return a.roots[0]
+def _tree(g, c):
+    """A connected cluster's own merge tree and its root."""
+    c = tuple(sorted(c))
+    if not c:
+        raise GraphError("empty cluster")
+    f = _forest(g, c)
+    if len(f.roots) != 1:
+        raise GraphError("cluster %r is not connected" % (c,))
+    return f, f.roots[0]
 
 
 def cluster_distance(g, a, b):
@@ -220,91 +203,109 @@ def cluster_distance(g, a, b):
 
 def split(g, c):
     """Remove the heaviest merge-tree edge: the top two sub-merges."""
-    c = tuple(sorted(c))
     if len(c) < 2:
         raise GraphError("cannot split a cluster of size %d" % len(c))
-    a = _analyze(g, c)
-    r = _root(a)
-    lo = a.node_members(a.left[r])
-    hi = a.node_members(a.right[r])
-    return (lo, hi) if lo[0] < hi[0] else (hi, lo)
+    f, r = _tree(g, c)
+    return tuple(sorted((f.members(f.left[r]), f.members(f.right[r]))))
+
+
+def _cores(f, c, cache=None):
+    """Maximal cores of the sorted cluster c: the highest nodes of the
+    graph's forest f (whose leaf v is node v) with every member of their
+    slice in c. cache maps c to them."""
+    if cache is not None and c in cache:
+        return cache[c]
+    pos = sorted({f.lo[v] for v in c})
+    stack = list(dict.fromkeys(f.top[v] for v in c))
+    out = []
+    while stack:
+        t = stack.pop()
+        lo, size = f.lo[t], f.size[t]
+        inside = bisect_left(pos, lo + size) - bisect_left(pos, lo)
+        if inside == size:
+            out.append(t)
+        elif inside:
+            stack += (f.left[t], f.right[t])
+    if cache is not None:
+        cache[c] = out
+    return out
+
+
+def _unstopped(f, t, pred):
+    """The highest nodes under t that Stop_local lets stand (every leaf does)."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if pred.stopped(f.size[t], f.topw[t]):
+            stack += (f.left[t], f.right[t])
+        else:
+            yield t
+
+
+def _connected_cores(g, c, cache=None):
+    """The graph's forest and the maximal cores of a connected cluster."""
+    _tree(g, c)
+    f = _forest(g, range(g.n))
+    return f, _cores(f, tuple(sorted(c)), cache)
 
 
 def is_core(g, c):
-    """True when every recursive split is a pair of mutually nearest halves."""
-    a = _analyze(g, tuple(sorted(c)))
-    return a.ok[_root(a)]
-
-
-def _kept(a, roots, keep):
-    """The highest merge-tree nodes t under roots for which keep(a, t) holds;
-    they partition the members under roots, as every leaf passes keep."""
-    stack = list(roots)
-    while stack:
-        t = stack.pop()
-        if keep(a, t):
-            yield t
-        else:
-            stack.append(a.left[t])
-            stack.append(a.right[t])
-
-
-def _highest(g, c, keep, cache=None):
-    """Members of the kept nodes of a connected cluster, sorted."""
-    a = _analyze(g, tuple(sorted(c)), cache)
-    return sorted(a.node_members(t) for t in _kept(a, (_root(a),), keep))
+    """True when every recursive split is a pair of mutually nearest halves,
+    that is when c is a node of the graph's merge forest."""
+    return len(_connected_cores(g, c)[1]) == 1
 
 
 def mcd(g, c, cache=None):
-    """Minimal core decomposition: the maximal merge-tree nodes that are
-    cores, a partition of the cluster."""
-    return _highest(g, c, lambda a, t: a.ok[t], cache)
-
-
-def _repairable(pred):
-    return lambda a, t: a.ok[t] and not pred.stopped(a.size[t], a.topw[t])
+    """Minimal core decomposition: the highest nodes of the graph's merge
+    forest inside the connected cluster c, a partition of it. cache maps a
+    sorted cluster to them; keep one per graph."""
+    f, cores = _connected_cores(g, c, cache)
+    return sorted(f.members(t) for t in cores)
 
 
 def split_repair(g, c, pred):
-    """Highest merge-tree nodes that are cores and not stopped: keeps every
-    valid core, recursively splits the rest."""
-    return _highest(g, c, _repairable(pred))
+    """Highest nodes of the graph's merge forest inside the connected
+    cluster c that are not stopped: keeps every valid core, recursively
+    splits the rest."""
+    f, cores = _connected_cores(g, c)
+    return sorted(f.members(s) for t in cores for s in _unstopped(f, t, pred))
 
 
-def _largest_per_node(g, clusters, keep, cache):
-    """Walk the merge forest of each distinct cluster, hand every node the
-    largest kept merge-tree node holding it (ties to the smaller minimum id)
-    and require every node to get one. Returns the chosen (members, topw)
-    pairs, distinct, in node order.
+def _grown_cores(g, clusters, cache):
+    """The graph's forest and the maximal cores of each distinct cluster.
 
     Min-propagating growth can leave a node holding ids of two far-apart
-    minima, so a grown cluster may be disconnected; each connected piece is
-    one tree of the forest. Pieces share no edges, so the lightest edge
-    leaving a piece is the one it has leaving the cluster, and its tree is
-    the one it would have on its own. The kept nodes of one cluster are
-    disjoint, so only the order of the clusters can break a tie."""
-    best = {}
-    for c in dict.fromkeys(tuple(sorted(c)) for c in clusters):
-        a = _analyze(g, c, cache)
-        for t in _kept(a, a.roots, keep):
-            core = a.node_members(t)
-            for v in core:
-                cur = best.get(v)
-                if cur is None or (len(core), -core[0]) > (len(cur[0]), -cur[0][0]):
-                    best[v] = (core, a.topw[t])
-    if len(best) != g.n:
+    minima, so a grown cluster may be disconnected; its cores are still the
+    highest forest nodes inside it."""
+    f = _forest(g, range(g.n))
+    return f, [t for c in dict.fromkeys(tuple(sorted(c)) for c in clusters)
+               for t in _cores(f, c, cache)]
+
+
+def _outermost(f, nodes):
+    """The given forest nodes that lie under no other given one, each node's
+    largest; they must cover every leaf."""
+    out = []
+    end = covered = 0
+    for t in sorted(set(nodes), key=lambda t: (f.lo[t], -f.size[t])):
+        if f.lo[t] >= end:
+            out.append(t)
+            end = f.lo[t] + f.size[t]
+            covered += f.size[t]
+    if covered != len(f.order):
         raise GraphError("cluster collection does not cover every node")
-    return list(dict.fromkeys(best[v] for v in range(g.n)))
+    return out
 
 
 def stop_round(g, clusters, pred, cache=None):
-    """Global stop: hand each node its largest core from the merge forests of
-    the clusters (ties to the smaller minimum id), and require Stop_local on
-    all of them."""
-    cores = _largest_per_node(g, clusters, lambda a, t: a.ok[t], cache)
+    """Global stop: hand each node the largest of the clusters' maximal
+    cores that holds it, read off the graph's merge forest, and require
+    Stop_local on all of them."""
+    f, cores = _grown_cores(g, clusters, cache)
+    cores = _outermost(f, cores)
     if pred.kind == "never":
         return False
-    return all(pred.stopped(len(core), topw) for core, topw in cores)
+    return all(pred.stopped(f.size[t], f.topw[t]) for t in cores)
 
 
 @dataclass
@@ -338,11 +339,9 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
         cache = {}
     res = engine.run(g, _SLC_SCHEMES[algo](), max_rounds,
                      stop=lambda st: stop_round(g, (c for c in st if c), pred, cache))
-    chosen = [p for p, _ in _largest_per_node(g, (st for st in res.final if st),
-                                              _repairable(pred), cache)]
-    if sum(len(p) for p in chosen) != g.n:
-        raise GraphError("repair did not produce a partition")
-    clusters = sorted(chosen)
+    f, cores = _grown_cores(g, (st for st in res.final if st), cache)
+    chosen = _outermost(f, (s for t in cores for s in _unstopped(f, t, pred)))
+    clusters = sorted(f.members(t) for t in chosen)
     return SlcResult(algo=algo, stop=str(pred), rounds=res.rounds,
                      converged=res.converged or res.stopped, stopped=res.stopped,
                      per_round=res.per_round, clusters=clusters)

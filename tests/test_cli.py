@@ -61,6 +61,16 @@ def test_run_csv_columns_and_seed_list(capsys):
     assert all(r[4] == "1" and r[10] == "1" for r in rows[1:])
 
 
+def test_run_verify_has_no_size_cap(capsys):
+    code, out, err = run_cli(capsys, "run", "--graph", "star:10001",
+                             "--algo", "hash-to-min", "--format", "csv",
+                             "--verify")
+    assert code == 0
+    assert err == ""
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[10] for r in rows[1:]] == ["1"]
+
+
 def test_run_unconverged_exit_code(capsys):
     code, _, err = run_cli(capsys, "run", "--graph", "path:64",
                            "--algo", "hash-min", "--max-rounds", "5")

@@ -199,7 +199,7 @@ def test_stop_sees_python_ints_on_the_columnar_path():
         assert all(type(x) is int for c in state for x in c)
 
 
-class _CountingScheme:
+class CountingScheme:
     """Delegating wrapper that tallies traffic independently of the engine."""
 
     def __init__(self, inner):
@@ -208,7 +208,8 @@ class _CountingScheme:
         self.check_every = inner.check_every
         self.rounds = {}
 
-    def _rec(self, rnd):
+    def tally(self, rnd):
+        """The counts of round rnd, zero until a call lands in it."""
         return self.rounds.setdefault(
             rnd, {"messages": 0, "volume": 0, "per_key": {}, "state": 0})
 
@@ -217,7 +218,7 @@ class _CountingScheme:
 
     def hash(self, rnd, v, st, g):
         out = self.inner.hash(rnd, v, st, g)
-        rec = self._rec(rnd)
+        rec = self.tally(rnd)
         for key, payload in out:
             rec["messages"] += 1
             rec["volume"] += len(payload)
@@ -226,7 +227,7 @@ class _CountingScheme:
 
     def merge(self, rnd, v, payloads, prev):
         out = self.inner.merge(rnd, v, payloads, prev)
-        self._rec(rnd)["state"] += len(out)
+        self.tally(rnd)["state"] += len(out)
         return out
 
     def export(self, g, state):
@@ -235,7 +236,7 @@ class _CountingScheme:
 
 def test_metrics_match_independent_tally():
     g = gen_random(60, 0.05, seed=3)
-    wrapped = _CountingScheme(HashToMin())
+    wrapped = CountingScheme(HashToMin())
     res = run(g, wrapped, 100)
     assert res.converged
     for m in res.per_round:

@@ -277,6 +277,9 @@ def test_stop_round_cases():
     assert stop_round(g, [(0, 1), (2, 3)], distance_threshold(0.5)) is False
     assert stop_round(g, whole, size_threshold(3)) is True
     assert stop_round(g, whole, size_threshold(4)) is False
+    # A repeated id counts once.
+    assert stop_round(g, [(0, 0, 1, 2, 3)], distance_threshold(0.5)) is True
+    assert stop_round(g, [(0, 0, 1), (2, 3)], distance_threshold(0.5)) is False
 
 
 def test_run_slc_extreme_thresholds():

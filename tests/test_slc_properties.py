@@ -1,7 +1,9 @@
 """Property tests for the clustering on small generated graphs: run_slc
 against the centralized oracle and against a networkx minimum spanning
-forest cut at the distance threshold, and stop_round against a reference
-built only from the public cluster analysis."""
+forest cut at the distance threshold, and is_core and stop_round against
+brute-force references written from the definition of a core."""
+
+from math import inf
 
 import networkx as nx
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from mrsim.graph import Graph, GraphError
 from mrsim.oracle import centralized_slc
-from mrsim.slc import StopPredicate, mcd, run_slc, stop_round
+from mrsim.slc import StopPredicate, is_core, run_slc, stop_round
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None, database=None)
 # stop_round answers one bool for a whole collection, and one singleton core
@@ -71,8 +73,9 @@ def test_run_slc_distance_matches_networkx_mst_cut(g, x, algo):
     assert res.clusters == mst_cut(g, x)
 
 
-def bfs_pieces(g, c):
-    """Connected components of the subgraph induced by c, as sorted tuples."""
+def bfs_pieces(g, c, below=inf):
+    """Connected components of the subgraph induced by c, keeping only edges
+    lighter than below, as sorted tuples."""
     inside = set(c)
     seen = set()
     out = []
@@ -83,30 +86,78 @@ def bfs_pieces(g, c):
         piece = [s]
         for u in piece:
             for v in g.adj[u]:
-                if v in inside and v not in seen:
+                if v in inside and v not in seen and g.weight(u, v) < below:
                     seen.add(v)
                     piece.append(v)
         out.append(tuple(sorted(piece)))
     return out
 
 
+def top_split(g, c):
+    """The heaviest edge weight of a connected cluster's induced minimum
+    spanning tree, and the two halves that removing it leaves."""
+    inside = set(c)
+    root = {v: v for v in c}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    top = None
+    for w, u, v in g.sorted_edges():
+        if u in inside and v in inside and find(u) != find(v):
+            root[find(u)] = find(v)
+            top = w
+    halves = bfs_pieces(g, c, below=top)
+    assert len(halves) == 2
+    return top, halves
+
+
+def nearest(g, half):
+    """The node at the far end of the lightest edge leaving half."""
+    return min((g.weight(u, v), v) for u in half for v in g.adj[u] if v not in half)[1]
+
+
+def brute_is_core(g, c):
+    """The definition of a core, with nothing from mrsim.slc: a single node,
+    or a connected cluster whose split at its heaviest induced spanning-tree
+    edge gives two mutually nearest halves, each a core itself."""
+    if len(c) == 1:
+        return True
+    _, (a, b) = top_split(g, c)
+    return (nearest(g, a) in b and nearest(g, b) in a
+            and brute_is_core(g, a) and brute_is_core(g, b))
+
+
+def brute_cores(g, c):
+    """Maximal cores of a connected cluster, as (members, top merge weight):
+    the cluster itself when it is a core, else those of its two halves."""
+    if len(c) == 1:
+        return [(c, 0.0)]
+    top, halves = top_split(g, c)
+    if brute_is_core(g, c):
+        return [(c, top)]
+    return [core for half in halves for core in brute_cores(g, half)]
+
+
 def reference_stop_round(g, clusters, pred):
     """Each node's largest core (ties to the smaller minimum id) over the
-    minimal core decompositions of every cluster's connected pieces, then
-    Stop_local on every chosen core; never stops under 'never'."""
+    maximal cores of every cluster's connected pieces, then Stop_local on
+    every chosen core; never stops under 'never'."""
     best = {}
     for c in dict.fromkeys(tuple(sorted(c)) for c in clusters):
         for piece in bfs_pieces(g, c):
-            for core in mcd(g, piece):
+            for core, top in brute_cores(g, piece):
                 for v in core:
                     cur = best.get(v)
-                    if cur is None or (len(core), -core[0]) > (len(cur), -cur[0]):
-                        best[v] = core
+                    if cur is None or (len(core), -core[0]) > (len(cur[0]), -cur[0][0]):
+                        best[v] = (core, top)
     if len(best) != g.n:
         raise GraphError("cluster collection does not cover every node")
     if pred.kind == "never":
         return False
-    return all(pred.local(g, core) for core in best.values())
+    return all(pred.stopped(len(core), top) for core, top in best.values())
 
 
 @st.composite
@@ -135,7 +186,7 @@ def cluster_collections(draw):
 
 @FUZZ_STOP
 @given(cluster_collections(), predicates)
-def test_stop_round_matches_public_api_reference(gc, pred):
+def test_stop_round_matches_brute_force_reference(gc, pred):
     g, clusters = gc
     try:
         want = reference_stop_round(g, clusters, pred)
@@ -144,3 +195,31 @@ def test_stop_round_matches_public_api_reference(gc, pred):
             stop_round(g, clusters, pred)
         return
     assert stop_round(g, clusters, pred) is want
+
+
+@st.composite
+def subsets(draw):
+    """A graph on at most 12 nodes and a node set of it, grown from one node
+    through random neighbours. Now and then one more node from anywhere is
+    added, which may disconnect the set."""
+    g = draw(weighted_graphs(max_n=12).filter(lambda g: g.n > 0))
+    c = {draw(st.integers(0, g.n - 1))}
+    for _ in range(draw(st.integers(0, g.n - 1))):
+        frontier = sorted({v for u in c for v in g.adj[u]} - c)
+        if not frontier:
+            break
+        c.add(draw(st.sampled_from(frontier)))
+    c.update(draw(st.lists(st.integers(0, g.n - 1), max_size=1)))
+    return g, tuple(sorted(c))
+
+
+@FUZZ_STOP
+@given(subsets())
+def test_is_core_matches_brute_force(gc):
+    g, c = gc
+    pieces = bfs_pieces(g, c)
+    if len(pieces) > 1:
+        with pytest.raises(GraphError):
+            is_core(g, c)
+    for piece in pieces:
+        assert is_core(g, piece) is brute_is_core(g, piece), piece
