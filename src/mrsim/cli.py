@@ -230,13 +230,14 @@ def build_parser():
     r.add_argument("--weighted", action="store_true")
     r.add_argument("--tau", type=float,
                    help="reducer load threshold for hash-to-min-lb (integer >= 1 or inf)")
-    r.add_argument("--seeds", type=_positive_int, default=1,
-                   help="run orderings 0..N-1, N >= 1 (ordering 0 = as built)")
-    r.add_argument("--seed-list", help="comma-separated ordering seeds")
+    seeds = r.add_mutually_exclusive_group()
+    seeds.add_argument("--seeds", type=_positive_int, default=1,
+                       help="run orderings 0..N-1, N >= 1 (ordering 0 = as built)")
+    seeds.add_argument("--seed-list", help="comma-separated ordering seeds")
     r.add_argument("--max-rounds", type=_positive_int, default=10000)
     r.add_argument("--format", choices=("json", "csv"), default="json")
     r.add_argument("--verify", action="store_true",
-                   help="compare components against the union-find reference")
+                   help="compare components against the centralized reference")
     r.set_defaults(fn=cmd_run)
 
     s = sub.add_parser("sweep", help="round/state bounds over a size ladder (CSV)")

@@ -1,10 +1,13 @@
 """Centralized reference answers used for verification. This module must stay
 independent of the round engine and the hashing schemes: it may import graph
-only, so simulator bugs cannot leak into the expected values."""
+only, so simulator bugs cannot leak into the expected values. The components
+come from graph's breadth-first search, which graph's diameter also runs, so
+the tests check the schemes against networkx as well, and the benchmark
+against scipy.sparse.csgraph."""
 
 from scipy.cluster.hierarchy import DisjointSet
 
-from .graph import GraphError
+from .graph import GraphError, components_nodes
 
 
 def canonical_partition(groups):
@@ -15,11 +18,8 @@ def canonical_partition(groups):
 
 
 def union_find_components(g):
-    """Connected components via union-find."""
-    ds = DisjointSet(range(g.n))
-    for u, v in g.edges():
-        ds.merge(u, v)
-    return canonical_partition(ds.subsets())
+    """Connected components by breadth-first search (graph.components_nodes)."""
+    return canonical_partition(components_nodes(g))
 
 
 def _stopped(kind, param, size, max_internal_edge):
@@ -41,15 +41,15 @@ def centralized_slc(g, kind, param=None):
     stop predicate is rejected and freezes both sides: the blocked cluster's
     nearest neighbor can only grow from there, and the predicate only gets
     more satisfied as clusters grow, so no later merge involving either side
-    is admissible. Frozen sides are emitted as final clusters; the union
-    still proceeds internally only to mark the merged set dead.
+    is admissible. Frozen sides are emitted as final clusters, read off the
+    DisjointSet's own subsets; the union still proceeds internally only to
+    mark the merged set dead, so no node is emitted twice.
     kind is "dist" (param = distance threshold), "size" (param = size cap),
     or "never".
     """
     if g.weights is None:
         raise GraphError("single-linkage clustering needs edge weights")
     ds = DisjointSet(range(g.n))
-    members = {v: [v] for v in range(g.n)}
     alive = {v: True for v in range(g.n)}
     out = []
     for w, u, v in g.sorted_edges():
@@ -57,22 +57,18 @@ def centralized_slc(g, kind, param=None):
         rv = ds[v]
         if ru == rv:
             continue
-        keep = (alive[ru] and alive[rv]
-                and not _stopped(kind, param, len(members[ru]) + len(members[rv]), w))
+        size = ds.subset_size(ru) + ds.subset_size(rv)
+        keep = alive[ru] and alive[rv] and not _stopped(kind, param, size, w)
         if not keep:
             if alive[ru]:
-                out.append(members[ru])
+                out.append(ds.subset(ru))
             if alive[rv]:
-                out.append(members[rv])
-        mu = members.pop(ru)
-        mv = members.pop(rv)
+                out.append(ds.subset(rv))
         alive.pop(ru)
         alive.pop(rv)
         ds.merge(u, v)
-        r = ds[u]
-        members[r] = mu + mv
-        alive[r] = keep
+        alive[ds[u]] = keep
     for r, live in alive.items():
         if live:
-            out.append(members[r])
+            out.append(ds.subset(r))
     return canonical_partition(out)

@@ -22,9 +22,9 @@ B weighs w, or S's tree would have joined them earlier.
 - A and B are mutually nearest iff the lightest edge leaving each goes to
   the other, that is iff no edge leaving S weighs less than w.
 A single node is both, and a core is a set whose halves are mutually nearest
-cores, so the two notions agree at every size. Two forest nodes are nested or disjoint. So the maximal cores of a cluster
-are the highest forest nodes whose slice lies inside it, and two distinct
-cores never tie for a node.
+cores, so the two notions agree at every size. Two forest nodes are nested
+or disjoint. So the maximal cores of a cluster are the highest forest nodes
+whose slice lies inside it, and two distinct cores never tie for a node.
 """
 
 from bisect import bisect_left

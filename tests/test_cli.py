@@ -107,6 +107,7 @@ def test_usage_and_input_errors(capsys):
     for argv in (["run", "--graph", "path:8", "--tau", "x"],
                  ["run", "--graph", "path:8", "--max-rounds", "0"],
                  ["run", "--graph", "path:8", "--seeds", "0"],
+                 ["run", "--graph", "path:8", "--seeds", "3", "--seed-list", "5"],
                  ["sweep", "--family", "path", "--sizes", "8", "--seeds-per-size", "0"],
                  ["slc", "--graph", "random:10:0.5", "--max-rounds", "0"]):
         with pytest.raises(SystemExit) as exc:

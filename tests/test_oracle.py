@@ -8,7 +8,8 @@ from math import inf
 import pytest
 
 import mrsim.oracle
-from mrsim.graph import Graph, GraphError, gen_path, gen_random
+from mrsim.graph import (Graph, GraphError, gen_path, gen_random, gen_star,
+                         relabel_random)
 from mrsim.oracle import (canonical_partition, centralized_slc,
                           union_find_components)
 
@@ -48,6 +49,12 @@ def test_union_find_components_matches_flood_fill():
                        seed=rng.randrange(10 ** 6))
         assert union_find_components(g) == flood_fill(g)
     assert union_find_components(gen_path(1)) == [(0,)]
+    # The benchmark's sizes: a long relabeled path, a wide star and a dense
+    # random.
+    for g in (relabel_random(gen_path(2 ** 15), 1)[0],
+              relabel_random(gen_star(10001), 2)[0],
+              relabel_random(gen_random(2000, 0.02, seed=2), 3)[0]):
+        assert union_find_components(g) == flood_fill(g)
 
 
 def test_centralized_slc_needs_weights():
@@ -62,6 +69,25 @@ def test_centralized_slc_extremes():
     tiny = min(g.weight(u, v) for u, v in g.edges()) * 0.5
     assert centralized_slc(g, "dist", tiny) == [(v,) for v in range(g.n)]
     assert centralized_slc(g, "size", 1) == [(v,) for v in range(g.n)]
+
+
+def test_centralized_slc_on_a_weighted_star():
+    """The centre takes leaves lightest edge first until the stop rule
+    refuses one, which freezes it; every later leaf stays alone."""
+    g = gen_star(2001, weighted=True, seed=1)
+    edges = g.sorted_edges()
+    leaves = [v for _, _, v in edges]
+
+    def centre_with(kept):
+        rest = set(leaves) - set(kept)
+        return canonical_partition([[0, *kept]] + [[v] for v in rest])
+
+    assert centralized_slc(g, "never") == [tuple(range(g.n))]
+    for s in (1, 2, 7, 2000, 2001, 5000):
+        assert centralized_slc(g, "size", s) == centre_with(leaves[:s - 1]), s
+    for x in (0.001, 0.3, 0.77, 1.0):
+        want = centre_with([v for w, _, v in edges if w <= x])
+        assert centralized_slc(g, "dist", x) == want, x
 
 
 def test_centralized_slc_two_component_example():

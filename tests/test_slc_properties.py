@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrsim import engine
 from mrsim.graph import Graph, GraphError
 from mrsim.oracle import centralized_slc
+from mrsim.schemes import HashToAll, HashToMin
 from mrsim.slc import StopPredicate, is_core, run_slc, stop_round
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -195,6 +197,25 @@ def test_stop_round_matches_brute_force_reference(gc, pred):
             stop_round(g, clusters, pred)
         return
     assert stop_round(g, clusters, pred) is want
+
+
+@FUZZ
+@given(weighted_graphs(), predicates, st.sampled_from([HashToAll, HashToMin]))
+def test_run_slc_stops_at_the_first_round_that_passes_global_stop(g, pred, scheme):
+    """The distributed stop: replay the growth to its fixpoint and find the
+    first round whose nonempty clusters pass the brute-force Stop_global.
+    run_slc must stop at that round, or run to the fixpoint when none does."""
+    grown = engine.run(g, scheme(), 100, record=True)
+    assert grown.converged
+    first = next((r for r, snap in enumerate(grown.snapshots[1:], 1)
+                  if reference_stop_round(g, [c for c in snap if c], pred)), None)
+    res = run_slc(g, scheme.name, pred, 100)
+    if first is None:
+        assert not res.stopped
+        assert res.rounds == grown.rounds
+    else:
+        assert res.stopped
+        assert res.rounds == first
 
 
 @st.composite
