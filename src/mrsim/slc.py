@@ -27,7 +27,6 @@ or disjoint. So the maximal cores of a cluster are the highest forest nodes
 whose slice lies inside it, and two distinct cores never tie for a node.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import inf
 
@@ -108,10 +107,10 @@ def never_stop():
 class _Forest:
     """Merge forest of the subgraph induced by some members: leaves 0..k-1
     are the members in the given order, internal nodes follow in merge
-    (ascending weight) order, top[i] is the root above leaf i and roots the
-    distinct tops. The members under node t are order[lo[t]:lo[t] + size[t]]."""
+    (ascending weight) order, and roots are the tops in the order of their
+    lowest leaf. The members under node t are order[lo[t]:lo[t] + size[t]]."""
 
-    __slots__ = ("order", "lo", "size", "topw", "left", "right", "top", "roots")
+    __slots__ = ("order", "lo", "size", "topw", "left", "right", "roots")
 
     def members(self, t):
         """Sorted member ids under node t."""
@@ -153,8 +152,7 @@ def _forest(g, members):
         f.right.append(tb)
         uf[ri] = rj
         node_of[rj] = len(f.size) - 1
-    f.top = [node_of[find(i)] for i in range(k)]
-    f.roots = list(dict.fromkeys(f.top))
+    f.roots = list(dict.fromkeys(node_of[find(i)] for i in range(k)))
     f.lo = lo = [0] * len(f.size)
     at = 0
     for r in f.roots:
@@ -169,9 +167,17 @@ def _forest(g, members):
     return f
 
 
+def _checked(g, c):
+    """c sorted, after checking that its ids are nodes of g."""
+    c = tuple(sorted(c))
+    if c and (c[0] < 0 or c[-1] >= g.n):
+        raise GraphError("cluster %r has ids outside 0..%d" % (c, g.n - 1))
+    return c
+
+
 def _tree(g, c):
     """A connected cluster's own merge tree and its root."""
-    c = tuple(sorted(c))
+    c = _checked(g, c)
     if not c:
         raise GraphError("empty cluster")
     f = _forest(g, c)
@@ -209,25 +215,25 @@ def split(g, c):
     return tuple(sorted((f.members(f.left[r]), f.members(f.right[r]))))
 
 
-def _cores(f, c, cache=None):
-    """Maximal cores of the sorted cluster c: the highest nodes of the
-    graph's forest f (whose leaf v is node v) with every member of their
-    slice in c. cache maps c to them."""
-    if cache is not None and c in cache:
-        return cache[c]
-    pos = sorted({f.lo[v] for v in c})
-    stack = list(dict.fromkeys(f.top[v] for v in c))
+def _cores(f, clusters):
+    """Each node's largest core among the clusters: the highest nodes of the
+    graph's forest f (leaf v is node v) that one cluster holds whole. Bit i
+    of held[t] says clusters[i] holds t: for an inner t, both its children."""
+    held = [0] * len(f.size)
+    for i, c in enumerate(clusters):
+        bit = 1 << i
+        for v in c:
+            held[v] |= bit
+    for t in range(len(f.order), len(held)):
+        held[t] = held[f.left[t]] & held[f.right[t]]
     out = []
+    stack = list(f.roots)
     while stack:
         t = stack.pop()
-        lo, size = f.lo[t], f.size[t]
-        inside = bisect_left(pos, lo + size) - bisect_left(pos, lo)
-        if inside == size:
+        if held[t]:
             out.append(t)
-        elif inside:
+        elif f.left[t] >= 0:
             stack += (f.left[t], f.right[t])
-    if cache is not None:
-        cache[c] = out
     return out
 
 
@@ -242,11 +248,20 @@ def _unstopped(f, t, pred):
             yield t
 
 
+def _graph_forest(g, cache):
+    """The whole graph's forest, kept in cache under g."""
+    if cache is None:
+        return _forest(g, range(g.n))
+    if g not in cache:
+        cache[g] = _forest(g, range(g.n))
+    return cache[g]
+
+
 def _connected_cores(g, c, cache=None):
     """The graph's forest and the maximal cores of a connected cluster."""
     _tree(g, c)
-    f = _forest(g, range(g.n))
-    return f, _cores(f, tuple(sorted(c)), cache)
+    f = _graph_forest(g, cache)
+    return f, _cores(f, [c])
 
 
 def is_core(g, c):
@@ -257,8 +272,8 @@ def is_core(g, c):
 
 def mcd(g, c, cache=None):
     """Minimal core decomposition: the highest nodes of the graph's merge
-    forest inside the connected cluster c, a partition of it. cache maps a
-    sorted cluster to them; keep one per graph."""
+    forest inside the connected cluster c, a partition of it. cache keeps
+    the graph's forest."""
     f, cores = _connected_cores(g, c, cache)
     return sorted(f.members(t) for t in cores)
 
@@ -272,29 +287,16 @@ def split_repair(g, c, pred):
 
 
 def _grown_cores(g, clusters, cache):
-    """The graph's forest and the maximal cores of each distinct cluster.
+    """The graph's forest and each node's largest core among the clusters.
 
     Min-propagating growth can leave a node holding ids of two far-apart
     minima, so a grown cluster may be disconnected; its cores are still the
     highest forest nodes inside it."""
-    f = _forest(g, range(g.n))
-    return f, [t for c in dict.fromkeys(tuple(sorted(c)) for c in clusters)
-               for t in _cores(f, c, cache)]
-
-
-def _outermost(f, nodes):
-    """The given forest nodes that lie under no other given one, each node's
-    largest; they must cover every leaf."""
-    out = []
-    end = covered = 0
-    for t in sorted(set(nodes), key=lambda t: (f.lo[t], -f.size[t])):
-        if f.lo[t] >= end:
-            out.append(t)
-            end = f.lo[t] + f.size[t]
-            covered += f.size[t]
-    if covered != len(f.order):
+    f = _graph_forest(g, cache)
+    cores = _cores(f, dict.fromkeys(_checked(g, c) for c in clusters))
+    if sum(f.size[t] for t in cores) != g.n:
         raise GraphError("cluster collection does not cover every node")
-    return out
+    return f, cores
 
 
 def stop_round(g, clusters, pred, cache=None):
@@ -302,10 +304,7 @@ def stop_round(g, clusters, pred, cache=None):
     cores that holds it, read off the graph's merge forest, and require
     Stop_local on all of them."""
     f, cores = _grown_cores(g, clusters, cache)
-    cores = _outermost(f, cores)
-    if pred.kind == "never":
-        return False
-    return all(pred.stopped(f.size[t], f.topw[t]) for t in cores)
+    return pred.kind != "never" and all(pred.stopped(f.size[t], f.topw[t]) for t in cores)
 
 
 @dataclass
@@ -327,7 +326,8 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
 
     Growth is an engine.run of the scheme with stop_round as its stop test,
     so both growth schemes take the columnar round. A run that stops or
-    reaches its fixpoint counts as converged."""
+    reaches its fixpoint counts as converged. cache keeps the graph's
+    forest."""
     if g.weights is None:
         raise GraphError("single-linkage clustering needs edge weights")
     if algo not in _SLC_SCHEMES:
@@ -340,8 +340,7 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
     res = engine.run(g, _SLC_SCHEMES[algo](), max_rounds,
                      stop=lambda st: stop_round(g, (c for c in st if c), pred, cache))
     f, cores = _grown_cores(g, (st for st in res.final if st), cache)
-    chosen = _outermost(f, (s for t in cores for s in _unstopped(f, t, pred)))
-    clusters = sorted(f.members(t) for t in chosen)
+    clusters = sorted(f.members(s) for t in cores for s in _unstopped(f, t, pred))
     return SlcResult(algo=algo, stop=str(pred), rounds=res.rounds,
                      converged=res.converged or res.stopped, stopped=res.stopped,
                      per_round=res.per_round, clusters=clusters)

@@ -4,10 +4,10 @@ from math import inf
 
 import pytest
 
-from mrsim import engine
-from mrsim.graph import Graph, GraphError, gen_path, gen_random
+from mrsim import slc
+from mrsim.graph import (Graph, GraphError, gen_complete_binary_tree, gen_path,
+                         gen_random, gen_star)
 from mrsim.oracle import centralized_slc, union_find_components
-from mrsim.schemes import HashToAll, HashToMin
 from mrsim.slc import (StopPredicate, cluster_distance, distance_threshold,
                        is_core, mcd, never_stop, run_slc, size_threshold,
                        split, split_repair, stop_round)
@@ -86,6 +86,9 @@ def test_stop_predicate_local_uses_merge_tree_edges():
             pred.local(g, ())
         with pytest.raises(GraphError):
             pred.local(gen_path(4), (0, 1))
+        for bad in ((-1,), (2, 4)):
+            with pytest.raises(GraphError):
+                pred.local(g, bad)
 
 
 def test_stop_predicate_monotone_along_merge_tree():
@@ -168,6 +171,8 @@ def test_split_errors():
         split(g, (0, 3))
     with pytest.raises(GraphError):
         split(gen_path(4), (0, 1, 2, 3))
+    with pytest.raises(GraphError):
+        split(g, (3, 4))
 
 
 def test_is_core_examples():
@@ -178,6 +183,9 @@ def test_is_core_examples():
     assert is_core(g, (0, 1, 2))
     with pytest.raises(GraphError):
         is_core(g, (0, 2))
+    # Ids outside 0..n-1 are rejected, not read as other nodes.
+    with pytest.raises(GraphError):
+        is_core(g, (-1,))
 
 
 def test_whole_components_are_cores():
@@ -193,6 +201,10 @@ def test_mcd_examples():
     assert mcd(g, (0, 1)) == [(0,), (1,)]
     assert mcd(g, (0, 1, 2)) == [(0, 1, 2)]
     assert mcd(g, (0,)) == [(0,)]
+    with pytest.raises(GraphError):
+        mcd(g, (0, 2))
+    with pytest.raises(GraphError):
+        mcd(wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.9, 0.15]), (0, 4))
 
 
 def test_mcd_partitions_into_maximal_cores():
@@ -241,6 +253,8 @@ def test_split_repair_examples():
         (0,), (1,), (2,), (3,)]
     with pytest.raises(GraphError):
         split_repair(g, (0, 2), d)
+    with pytest.raises(GraphError):
+        split_repair(g, (-1,), never_stop())
 
 
 def test_split_repair_matches_centralized_on_whole_components():
@@ -263,6 +277,11 @@ def test_stop_round_requires_coverage():
     g = wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.5, 0.2])
     with pytest.raises(GraphError):
         stop_round(g, [(0, 1)], never_stop())
+    # Ids outside 0..n-1 are rejected, not read as other nodes.
+    g = wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.9, 0.15])
+    for bad in ((-1,), (5,)):
+        with pytest.raises(GraphError):
+            stop_round(g, [(0, 1, 2, 3), bad], distance_threshold(0.5))
 
 
 def test_stop_round_cases():
@@ -309,6 +328,14 @@ def test_run_slc_matches_centralized_reduced_sweep():
                 assert res.clusters == want
                 assert res.algo == algo
                 assert res.rounds == len(res.per_round)
+    # The path's rounds hold 2000 distinct grown clusters, so the core
+    # search's cluster masks are far wider than a machine word.
+    for gen, n in ((gen_path, 2000), (gen_complete_binary_tree, 1023),
+                   (gen_star, 2001)):
+        g = gen(n, weighted=True, seed=1)
+        for kind, param in [("dist", 0.5), ("size", 20)]:
+            res = run_slc(g, "hash-to-min", StopPredicate(kind, param), 200)
+            assert res.clusters == centralized_slc(g, kind, param)
 
 
 def test_run_slc_handles_disconnected_graphs():
@@ -357,31 +384,38 @@ def test_stop_round_and_run_slc_on_empty_and_single_node_graphs():
                 1, True, False, [(0,)])
 
 
-def _connected(g, c):
-    try:
-        mcd(g, c)
-    except GraphError:
-        return False
-    return True
+def test_run_slc_builds_one_forest_per_graph(monkeypatch):
+    # The stop check of every round and the repair share the whole graph's
+    # merge forest, kept in the cache under the graph.
+    builds = []
+    forest = slc._forest
 
+    def counting(g, members):
+        builds.append(len(members))
+        return forest(g, members)
 
-def test_run_slc_analyses_each_grown_cluster_once():
-    # Growth states of rounds 1..rounds are the only clusters run_slc may
-    # analyse: the stop check and the repair read pieces and cores off the
-    # grown cluster's merge forest.
-    cases = [
-        # hash-to-min leaves some grown states disconnected.
-        (gen_random(12, 0.3, seed=0, weighted=True), HashToMin, "never",
-         lambda g, c: not _connected(g, c)),
-        # hash-to-all grows connected states, some of whose cores are
-        # proper subsets.
-        (gen_random(16, 0.25, seed=0, weighted=True), HashToAll, "dist:0.3",
-         lambda g, c: any(1 < len(core) < len(c) for core in mcd(g, c))),
-    ]
-    for g, scheme, spec, shown in cases:
+    monkeypatch.setattr(slc, "_forest", counting)
+    for seed, algo, spec in [(0, "hash-to-min", "never"),
+                             (0, "hash-to-all", "dist:0.3"),
+                             (1, "hash-to-min", "size:6")]:
+        g = gen_random(16, 0.25, seed=seed, weighted=True)
+        pred = StopPredicate.parse(spec)
+        builds.clear()
+        assert run_slc(g, algo, pred, 100).rounds > 1
+        assert builds == [g.n]
         cache = {}
-        res = run_slc(g, scheme.name, StopPredicate.parse(spec), 100, cache)
-        snaps = engine.run(g, scheme(), 100, record=True).snapshots
-        grown = {c for snap in snaps[1:res.rounds + 1] for c in snap if c}
-        assert any(shown(g, c) for c in grown)
-        assert set(cache) == grown
+        builds.clear()
+        res = run_slc(g, algo, pred, 100, cache)
+        assert builds == [g.n]
+        assert set(cache) == {g}
+        builds.clear()
+        assert run_slc(g, algo, pred, 100, cache) == res
+        assert builds == []
+    # One cache shared by two graphs gives each its own forest.
+    a = wgraph(3, [(0, 1), (1, 2)], [0.1, 0.5])
+    b = wgraph(3, [(0, 1), (1, 2)], [0.5, 0.1])
+    cache = {}
+    assert mcd(a, (0, 1), cache) == [(0, 1)]
+    assert mcd(b, (0, 1), cache) == [(0,), (1,)]
+    assert mcd(b, (1, 2), cache) == [(1, 2)]
+    assert set(cache) == {a, b}
