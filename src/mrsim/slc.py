@@ -28,6 +28,7 @@ whose slice lies inside it, and two distinct cores never tie for a node.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import inf
 
 from . import engine
@@ -217,20 +218,24 @@ def split(g, c):
 
 def _cores(f, clusters):
     """Each node's largest core among the clusters: the highest nodes of the
-    graph's forest f (leaf v is node v) that one cluster holds whole. Bit i
-    of held[t] says clusters[i] holds t: for an inner t, both its children."""
-    held = [0] * len(f.size)
-    for i, c in enumerate(clusters):
-        bit = 1 << i
-        for v in c:
-            held[v] |= bit
-    for t in range(len(f.order), len(held)):
-        held[t] = held[f.left[t]] & held[f.right[t]]
+    graph's forest f (leaf v is node v) that one cluster holds whole, that is
+    whose leaf slice one run of consecutive positions in a cluster covers.
+    reach[p] is the furthest end of a run that starts at or before p."""
+    reach = [0] * len(f.order)
+    for c in clusters:
+        end = -1
+        for p in sorted({f.lo[v] for v in c}):
+            if p != end:
+                start = p
+            end = p + 1
+            if reach[start] < end:
+                reach[start] = end
+    reach = list(accumulate(reach, max))
     out = []
     stack = list(f.roots)
     while stack:
         t = stack.pop()
-        if held[t]:
+        if reach[f.lo[t]] >= f.lo[t] + f.size[t]:
             out.append(t)
         elif f.left[t] >= 0:
             stack += (f.left[t], f.right[t])
@@ -250,8 +255,7 @@ def _unstopped(f, t, pred):
 
 def _graph_forest(g, cache):
     """The whole graph's forest, kept in cache under g."""
-    if cache is None:
-        return _forest(g, range(g.n))
+    cache = {} if cache is None else cache
     if g not in cache:
         cache[g] = _forest(g, range(g.n))
     return cache[g]
@@ -288,10 +292,8 @@ def split_repair(g, c, pred):
 
 def _grown_cores(g, clusters, cache):
     """The graph's forest and each node's largest core among the clusters.
-
-    Min-propagating growth can leave a node holding ids of two far-apart
-    minima, so a grown cluster may be disconnected; its cores are still the
-    highest forest nodes inside it."""
+    Min-propagating growth can hand a node the ids of two far-apart minima, so
+    a grown cluster may be disconnected; that does not change its cores."""
     f = _graph_forest(g, cache)
     cores = _cores(f, dict.fromkeys(_checked(g, c) for c in clusters))
     if sum(f.size[t] for t in cores) != g.n:
@@ -335,8 +337,7 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
                          % (algo, ", ".join(sorted(_SLC_SCHEMES))))
     if max_rounds < 1:
         raise GraphError("max_rounds must be at least 1")
-    if cache is None:
-        cache = {}
+    cache = {} if cache is None else cache
     res = engine.run(g, _SLC_SCHEMES[algo](), max_rounds,
                      stop=lambda st: stop_round(g, (c for c in st if c), pred, cache))
     f, cores = _grown_cores(g, (st for st in res.final if st), cache)

@@ -259,16 +259,24 @@ def test_run_slc_growth_columnar_matches_per_node(monkeypatch, columnar_rounds):
     preds = [StopPredicate.parse(s) for s in ("dist:0.2", "dist:0.6", "size:3",
                                               "size:10", "never")]
     algos = ("hash-to-min", "hash-to-all")
+    # The distinct grown clusters each stop check sees, in order.
+    seen = []
+    real_stop_round = slc.stop_round
+
+    def recording_stop_round(g, clusters, pred, cache=None):
+        clusters = sorted(set(map(tuple, clusters)))
+        seen.append(clusters)
+        return real_stop_round(g, clusters, pred, cache)
+    monkeypatch.setattr(slc, "stop_round", recording_stop_round)
 
     def runs():
         out = []
         for algo in algos:
             for g in graphs:
                 for pred in preds:
-                    cache = {}
-                    before = len(columnar_rounds)
-                    res = run_slc(g, algo, pred, 1000, cache)
-                    out.append((res, set(cache), len(columnar_rounds) - before))
+                    before, checks = len(columnar_rounds), len(seen)
+                    res = run_slc(g, algo, pred, 1000)
+                    out.append((res, seen[checks:], len(columnar_rounds) - before))
         return out
     fast = runs()
     assert all(res.rounds == calls for res, _, calls in fast)
