@@ -7,13 +7,20 @@ of node ids. Merging is defined purely by the incoming payloads plus the
 previous state passed as an explicit argument; a node with no incoming
 messages keeps nothing implicitly.
 
-A scheme whose reduce is a plain set union may also offer hash_arrays, the
-array form of its hash. run then keeps the state as CSR arrays and does the
-union and the metrics with numpy: a sort of (key, id) codes for hash-to-min
-and both phases of hash-to-min-lb, a boolean sparse product for
-hash-to-all, which ships whole clusters. The per-node hash and merge stay
-the spec that step runs; hash-min, hgtm-alt and any wrapped scheme without
-hash_arrays run on it.
+A scheme may also offer hash_arrays, the array form of its hash. run then
+keeps the state as CSR arrays and does the union and the metrics with
+numpy: a sort of (key, id) codes for hash-to-min, both phases of
+hash-to-min-lb, hash-min and hgtm-alt, and a boolean sparse product for
+hash-to-all, which ships whole clusters. A scheme whose merge is more than
+the union of what a node receives also offers merge_arrays(rnd, new, prev),
+which maps each node's union and its previous state, both CSR, to its new
+state: hash-min keeps the least id received, and hgtm-alt inserts it into
+the previous state on its label rounds. Without merge_arrays the union is
+the new state. The per-node hash and merge stay the spec that step runs,
+for any wrapped scheme without hash_arrays, such as the benchmark's traced
+runs. The columnar round checks every state it is given; run checks a
+per-node run's first state the same way, so a bad initial state fails
+alike on both.
 
 run is the one round driver: component runs go to convergence, and
 single-linkage growth passes its stop check as run's stop test.
@@ -132,56 +139,72 @@ def _same_csr(a, b):
     return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
-def _columnar_step(g, scheme, state, rnd):
-    """One round on CSR state. scheme.hash_arrays returns (keys, vals,
-    messages). When vals is an array, keys[i] is sent the id vals[i], and
-    keys, an array of its own, is overwritten; when vals is None, keys[i]
-    is sent the whole cluster of the node that holds ids[i]. Each node's new
-    cluster is the set of ids sent to it. Checks and metrics match step's
-    for a scheme whose merge is merge_sorted_dedup."""
-    n = g.n
-    lens, ids = state
-    keys, vals, messages = scheme.hash_arrays(rnd, lens, ids, g)
-    messages = int(messages)
-    for what, a in (("held id", ids), ("key", keys), ("sent id", vals)):
-        if a is not None and a.size and (a.min() < 0 or a.max() >= n):
-            bad = a[(a < 0) | (a >= n)][0]
-            raise EngineFault("round %d: %s %d outside 0..%d" % (rnd, what, bad, n - 1))
+def _check_held(rnd, n, lens, ids):
+    """Every held id is in 0..n-1 and every cluster strictly increasing."""
+    _check_range(rnd, n, "held id", ids)
     # With every id in range, row * n + id increases strictly over the
     # whole array exactly when every cluster does.
     rows = np.repeat(np.arange(n, dtype=ids.dtype), lens)
     if not (np.diff(rows * n + ids) > 0).all():
         raise EngineFault("round %d: a cluster was not sorted strictly increasing" % rnd)
-    del rows
+
+
+def _check_range(rnd, n, what, a):
+    if a.size and (a.min() < 0 or a.max() >= n):
+        bad = a[(a < 0) | (a >= n)][0]
+        raise EngineFault("round %d: %s %d outside 0..%d" % (rnd, what, bad, n - 1))
+
+
+def _columnar_step(g, scheme, state, rnd):
+    """One round on CSR state. scheme.hash_arrays returns (keys, vals,
+    messages). When vals is an array, keys[i] is sent the id vals[i], and
+    keys, an array of its own, is overwritten; when vals is None, keys[i]
+    is sent the whole cluster of the node that holds ids[i]. Each node's
+    union is the set of ids sent to it. scheme.merge_arrays(rnd, union,
+    state), when the scheme has it, maps the unions and the previous state,
+    both CSR, to the new state; otherwise the union is the new state.
+    total_state counts the new state. Checks and metrics match step's."""
+    n = g.n
+    lens, ids = state
+    _check_held(rnd, n, lens, ids)
+    keys, vals, messages = scheme.hash_arrays(rnd, lens, ids, g)
+    _check_range(rnd, n, "key", keys)
     if vals is None:
-        return _whole_cluster_union(n, lens, ids, keys, messages, rnd)
-    # The set union: sort and drop repeats (np.unique, hash-based in
-    # numpy 2.4, took over 20 times as long on these arrays). The
-    # temporaries are freed or reused as soon as they are spent, since
-    # the pairs outnumber the held ids.
-    max_in = int(np.bincount(keys, minlength=n).max()) if n else 0
-    volume = keys.size
-    code = keys
-    code *= n
-    code += vals
-    del keys, vals
-    code.sort()
-    keep = np.empty(code.size, bool)
-    if code.size:
-        keep[0] = True
-        np.not_equal(code[1:], code[:-1], out=keep[1:])
-    code = code[keep]
-    del keep
-    new = np.bincount(code // n, minlength=n), code % n
-    return new, RoundMetrics(rnd, messages, volume, max_in, code.size)
+        new, volume, max_in = _whole_cluster_union(n, lens, ids, keys)
+    else:
+        _check_range(rnd, n, "sent id", vals)
+        # The set union: sort and drop repeats (np.unique, hash-based in
+        # numpy 2.4, took over 20 times as long on these arrays). The
+        # temporaries are freed or reused as soon as they are spent, since
+        # the pairs outnumber the held ids.
+        max_in = int(np.bincount(keys, minlength=n).max()) if n else 0
+        volume = keys.size
+        code = keys
+        code *= n
+        code += vals
+        del keys, vals
+        code.sort()
+        keep = np.empty(code.size, bool)
+        if code.size:
+            keep[0] = True
+            np.not_equal(code[1:], code[:-1], out=keep[1:])
+        code = code[keep]
+        del keep
+        new = np.bincount(code // n, minlength=n), code % n
+        del code
+    merge_arrays = getattr(scheme, "merge_arrays", None)
+    if merge_arrays is not None:
+        new = merge_arrays(rnd, new, state)
+    return new, RoundMetrics(rnd, int(messages), volume, max_in, new[1].size)
 
 
-def _whole_cluster_union(n, lens, ids, keys, messages, rnd):
-    """The union when every key receives its holder's whole cluster: with
-    the state as a boolean matrix A (A[v, x] when v holds x) and K the
-    same for the keys, the new clusters are the rows of K^T A. No (key, id)
-    pair is built, so memory stays near the sum of the cluster sizes, not
-    of their squares. The data is bool so that a sum never wraps to 0."""
+def _whole_cluster_union(n, lens, ids, keys):
+    """The union, its id volume and its peak reducer input when every key
+    receives its holder's whole cluster: with the state as a boolean matrix
+    A (A[v, x] when v holds x) and K the same for the keys, the new
+    clusters are the rows of K^T A. No (key, id) pair is built, so memory
+    stays near the sum of the cluster sizes, not of their squares. The data
+    is bool so that a sum never wraps to 0."""
     indptr = np.zeros(n + 1, np.intp)
     np.cumsum(lens, out=indptr[1:])
     ones = np.ones(ids.size, bool)
@@ -193,8 +216,7 @@ def _whole_cluster_union(n, lens, ids, keys, messages, rnd):
     # Each key receives |C| ids from every cluster C that sends to it.
     got = np.repeat(lens, lens)
     max_in = int(np.bincount(keys, weights=got, minlength=n).max()) if n else 0
-    volume = int(got.sum())
-    return new, RoundMetrics(rnd, messages, volume, max_in, union.nnz)
+    return new, int(got.sum()), max_in
 
 
 def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):
@@ -206,10 +228,12 @@ def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):
     round with the state as a tuple of clusters, before the convergence
     test; when it returns true the run ends with stopped=True and
     converged=False, and export and finalize are skipped. A scheme with
-    hash_arrays (hash-to-min, hash-to-min-lb, hash-to-all) runs on CSR
-    state through _columnar_step instead of step, and its final state,
-    snapshots and the states stop sees are tuples of Python ints, as step's
-    are. hash-min, hgtm-alt and wrapped schemes take step.
+    hash_arrays (every scheme in mrsim.schemes) runs on CSR state through
+    _columnar_step instead of step; its merge_arrays, when it has one, folds
+    each round's union and the previous state into the new state, as its
+    merge does per node. Its final state, snapshots and the states stop
+    sees are tuples of Python ints, as step's are. A wrapped scheme without
+    hash_arrays takes step.
     """
     if max_rounds < 1:
         raise EngineFault("max_rounds must be at least 1")
@@ -223,6 +247,10 @@ def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):
     if getattr(scheme, "hash_arrays", None) is not None:
         state = _pack(state, g.n)
         round_fn, same, out = _columnar_step, _same_csr, _unpack
+    else:
+        # The columnar round checks every state it is given; step trusts
+        # merge's, so the caller's is checked here, the same way.
+        _check_held(1, g.n, *_pack(state, g.n))
     check_every = getattr(scheme, "check_every", 1)
     snapshots = [out(state)] if record else None
     per_round = []

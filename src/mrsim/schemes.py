@@ -2,14 +2,17 @@
 
 Every node state is a strictly increasing tuple of node ids (a "cluster").
 Each scheme provides init_state, hash (emit (key, payload) messages), merge,
-and export (read components off a converged state). HashToMin (and so
-LbHashToMin) and HashToAll also offer hash_arrays, their hash on the
-engine's CSR state, which engine.run uses; HashMin and AlternatingHGTM,
-whose reduce is not a plain union, run per node.
+and export (read components off a converged state). Every scheme also
+offers hash_arrays, its hash on the engine's CSR state, which engine.run
+uses. HashMin and AlternatingHGTM, whose merge is not a plain union of what
+a node receives, add merge_arrays, their merge on that union and the
+previous state. hash and merge stay the per-node spec that engine.step
+runs.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
+from itertools import chain
 from math import inf
 from numbers import Real
 
@@ -27,6 +30,21 @@ def _closed_neighborhoods(g):
         i = bisect_left(a, v)
         state.append(a[:i] + (v,) + a[i:])
     return state
+
+
+def _edge_arrays(g, dtype):
+    """Every edge in both directions, as arrays (src, dst) ordered by src."""
+    deg = np.fromiter(map(len, g.adj), np.intp, g.n)
+    dst = np.fromiter(chain.from_iterable(g.adj), dtype, int(deg.sum()))
+    return np.repeat(np.arange(g.n, dtype=dtype), deg), dst
+
+
+def _labels(lens, ids):
+    """Each node's least held id, its label; 0 where it holds none."""
+    held = lens > 0
+    label = np.zeros(lens.size, ids.dtype)
+    label[held] = ids[(np.cumsum(lens) - lens)[held]]
+    return label
 
 
 def _export_min_labeled(g, state):
@@ -60,6 +78,26 @@ class HashMin:
         if not payloads:
             return prev
         return (min(p[0] for p in payloads),)
+
+    def hash_arrays(self, rnd, lens, ids, g):
+        """hash on CSR state: each held cluster goes whole to its holder,
+        one message, and its label to each of the holder's neighbors, one
+        message each."""
+        held = lens > 0
+        label = _labels(lens, ids)
+        src, dst = _edge_arrays(g, ids.dtype)
+        tell = held[src]
+        rows = np.repeat(np.arange(lens.size, dtype=ids.dtype), lens)
+        return (np.concatenate((rows, dst[tell])),
+                np.concatenate((ids, label[src[tell]])),
+                np.count_nonzero(held) + np.count_nonzero(tell))
+
+    def merge_arrays(self, rnd, new, prev):
+        """merge on CSR state: the least id each node received. A node that
+        holds anything sends it to itself, so a node that receives nothing
+        held nothing, and its state stays empty."""
+        got = new[0] > 0
+        return got.astype(np.intp), _labels(*new)[got]
 
     def export(self, g, state):
         groups = {}
@@ -198,6 +236,48 @@ class AlternatingHGTM:
                 return prev
             return prev[:i] + (m,) + prev[i:]
         return merge_sorted_dedup(payloads)
+
+    def hash_arrays(self, rnd, lens, ids, g):
+        """hash on CSR state, as hash sends it. On a label round each node
+        v with label m sends m to itself, to each neighbor and, when v is
+        held elsewhere and its largest id is not m, to that id. On a tail
+        round v sends its ids >= v to m, one message per nonempty tail, and
+        m to each of them."""
+        n = lens.size
+        rows = np.repeat(np.arange(n, dtype=ids.dtype), lens)
+        label = _labels(lens, ids)
+        if rnd % 3 == 0:
+            tail = ids >= rows
+            gt = ids[tail]
+            m = label[rows[tail]]
+            tails = np.count_nonzero(np.bincount(rows[tail]))
+            return np.concatenate((m, gt)), np.concatenate((gt, m)), tails + gt.size
+        held = lens > 0
+        src, dst = _edge_arrays(g, ids.dtype)
+        tell = held[src]
+        last = np.zeros(n, ids.dtype)
+        last[held] = ids[np.cumsum(lens)[held] - 1]
+        holds_self = np.zeros(n, bool)
+        holds_self[ids[ids == rows]] = True
+        hop = held & ~holds_self & (last != label)
+        keys = np.concatenate((np.arange(n, dtype=ids.dtype)[held], dst[tell], last[hop]))
+        vals = np.concatenate((label[held], label[src[tell]], label[hop]))
+        return keys, vals, keys.size
+
+    def merge_arrays(self, rnd, new, prev):
+        """merge on CSR state. On a label round each node that received
+        anything inserts the least id it received into its previous state,
+        and one that received nothing (so held nothing) keeps it; a tail
+        round's union is the new state, which may leave a node empty."""
+        if rnd % 3 == 0:
+            return new
+        lens, ids = new
+        n = lens.size
+        got = lens > 0
+        rows = np.arange(n, dtype=ids.dtype)
+        code = np.union1d(np.repeat(rows, prev[0]) * n + prev[1],
+                          rows[got] * n + _labels(lens, ids)[got])
+        return np.bincount(code // n, minlength=n), code % n
 
     def export(self, g, state):
         return _export_min_labeled(g, state)

@@ -1,11 +1,12 @@
 """The columnar rounds against the per-node spec.
 
-run takes a CSR path for a scheme with hash_arrays: hash-to-min and
-hash-to-min-lb on the sort union, hash-to-all on the sparse product.
-Setting hash_arrays to None on an instance hides it, so the same scheme runs
-through step, hash and merge_sorted_dedup; the two must agree byte for
-byte, fail the same contract checks and hand back only Python ints. The
-same holds for run_slc growth.
+run takes a CSR path for a scheme with hash_arrays: hash-to-min,
+hash-to-min-lb, hash-min and hgtm-alt on the sort union (the last two
+through their merge_arrays), hash-to-all on the sparse product. Setting
+hash_arrays to None on an instance hides it, so the same scheme runs
+through step, hash and merge; the two must agree byte for byte, fail the
+same contract checks and hand back only Python ints. The same holds for
+run_slc growth.
 """
 
 import json
@@ -17,10 +18,10 @@ import numpy as np
 import pytest
 
 from mrsim import engine, schemes, slc
-from mrsim.engine import EngineFault, merge_sorted_dedup, result_to_json, run
+from mrsim.engine import EngineFault, RoundMetrics, merge_sorted_dedup, result_to_json, run
 from mrsim.graph import (Graph, gen_complete_binary_tree, gen_path, gen_random,
                          gen_star, relabel_random)
-from mrsim.schemes import HashToAll, HashToMin, LbHashToMin
+from mrsim.schemes import AlternatingHGTM, HashMin, HashToAll, HashToMin, LbHashToMin
 from mrsim.slc import StopPredicate, run_slc
 
 
@@ -60,7 +61,8 @@ class ToMinOnly:
 
 
 SCHEMES = {"hash-to-min": HashToMin, "hash-to-all": HashToAll,
-           "hash-to-min-lb": lambda: LbHashToMin(1)}
+           "hash-to-min-lb": lambda: LbHashToMin(1), "hash-min": HashMin,
+           "hgtm-alt": AlternatingHGTM}
 
 
 @pytest.fixture
@@ -103,24 +105,26 @@ def _assert_same(g, make, calls, initial_state=None):
     return a
 
 
-def _graphs(gossip=False, top=300):
-    """The inputs of the per-node comparisons. gossip caps them as the
-    benchmark caps hash-to-all, whose clusters grow quadratically in
-    component size: paths at 64 ids, trees at 255, stars at 129. top is
-    the length of the path over the top ids of a 2^16-node graph, where
-    every per-node round is a loop over 2^16 nodes."""
+def _graphs(quadratic=False, top=300):
+    """The inputs of the per-node comparisons. quadratic caps them at
+    paths of 64 ids, trees of 255 and stars of 129, for a scheme whose
+    per-node run grows quadratically with component size: hash-to-all,
+    whose clusters do (the benchmark caps it the same way), and hash-min,
+    which takes a round per node of a path. top is the length of the path
+    over the top ids of a 2^16-node graph, where every per-node round is a
+    loop over 2^16 nodes."""
     for seed, (n, p) in enumerate([(1, 0.0), (40, 0.0), (60, 0.01), (80, 0.03),
                                    (120, 0.02), (150, 0.05), (200, 0.005)]):
         yield gen_random(n, p, seed=seed)
     # In id order a path's clusters grow quadratically, hence the acceptance
     # gate's cap of 512 for hash-to-min there.
-    for size in (16, 64) if gossip else (16, 64, 256, 512):
+    for size in (16, 64) if quadratic else (16, 64, 256, 512):
         yield gen_path(size)
-    for size in (15, 63, 255) if gossip else (15, 63, 255, 1023, 4095):
+    for size in (15, 63, 255) if quadratic else (15, 63, 255, 1023, 4095):
         yield gen_complete_binary_tree(size)
-    for size in (17, 129) if gossip else (17, 129, 1025, 4097):
+    for size in (17, 129) if quadratic else (17, 129, 1025, 4097):
         yield gen_star(size)
-    for exp in range(5, 7 if gossip else 13):
+    for exp in range(5, 7 if quadratic else 13):
         yield relabel_random(gen_path(2 ** exp), exp)[0]
     # 2^16 nodes: key * n + id codes need int64.
     n = 2 ** 16
@@ -135,8 +139,18 @@ def test_columnar_hash_to_min_matches_per_node(columnar_rounds):
 
 
 def test_columnar_hash_to_all_matches_per_node(columnar_rounds):
-    for g in _graphs(gossip=True, top=40):
+    for g in _graphs(quadratic=True, top=40):
         assert _assert_same(g, HashToAll, columnar_rounds).converged
+
+
+def test_columnar_hash_min_matches_per_node(columnar_rounds):
+    for g in _graphs(quadratic=True, top=4):
+        assert _assert_same(g, HashMin, columnar_rounds).converged
+
+
+def test_columnar_hgtm_alt_matches_per_node(columnar_rounds):
+    for g in _graphs(top=4):
+        assert _assert_same(g, AlternatingHGTM, columnar_rounds).converged
 
 
 def test_columnar_load_capped_matches_per_node(columnar_rounds):
@@ -166,13 +180,42 @@ def test_columnar_worked_trace_with_empty_states(columnar_rounds):
         "hash-to-min": ((), (1, 2, 4), (1,), (3, 4, 5), (1, 3), (3,)),
         "hash-to-all": ((), (1, 2, 4), (1, 2, 4), (3, 4, 5), (1, 2, 3, 4, 5), (3, 4, 5)),
         "hash-to-min-lb": ((), (1, 2, 4), (1,), (3, 4, 5), (1, 3), (3,)),
+        # A label round inserts the least id received into the state.
+        "hgtm-alt": ((), (1, 2, 4), (1,), (), (3,), (3, 4, 5)),
     }
-    for name, make in SCHEMES.items():
-        res = _assert_same(g, make, columnar_rounds, initial_state=init)
-        assert res.snapshots[1] == want[name], name
+    # hash-min's export reads a label off every node, and node 0 never
+    # gets one here; the next test gives it a worked trace of its own.
+    runs = {}
+    for name, snap in want.items():
+        runs[name] = _assert_same(g, SCHEMES[name], columnar_rounds, initial_state=init)
+        assert runs[name].snapshots[1] == snap, name
     res = _assert_same(g, ToMinOnly, columnar_rounds, initial_state=init)
     assert res.snapshots[1] == ((), (1, 2, 4), (), (3, 4, 5), (), ())
     assert res.per_round[0].messages == 2 and res.per_round[0].max_reducer_in == 3
+    # hgtm-alt's first tail round: 1 sends (1, 2, 4) to 1 and 1 to each of
+    # them, 5 sends (5,) to 3 and 3 to 5, and 2, 3 and 4 hold only ids
+    # below themselves. Node 3 is left holding 5, not itself; node 0 stays
+    # empty. Round 5 adds two hops, from 3 to 5 and from 5 to 3, which are
+    # held elsewhere and hold a largest id other than their label.
+    hgtm = runs["hgtm-alt"]
+    assert hgtm.snapshots[2:6] == [((), (1, 2, 4), (1,), (1,), (3,), (3, 4, 5)),
+                                   ((), (1, 2, 4), (1,), (5,), (1,), (3,)),
+                                   ((), (1, 2, 4), (1,), (1, 5), (1,), (1, 3)),
+                                   ((), (1, 2, 4), (1,), (1, 5), (1,), (1, 3))]
+    assert hgtm.per_round[2] == RoundMetrics(3, 6, 8, 4, 7)
+    assert [m.messages for m in hgtm.per_round[3:5]] == [13, 15]
+
+
+def test_columnar_hash_min_worked_trace(columnar_rounds):
+    """Each holder sends its whole cluster to itself, so the id volume
+    counts it, and its label, the cluster minimum, to its neighbors."""
+    init = [(), (1, 3), (), (0, 2, 4), ()]
+    res = _assert_same(gen_path(5), HashMin, columnar_rounds, initial_state=init)
+    # 1 sends (1, 3) to 1 and 1 to 0 and 2; 3 sends (0, 2, 4) to 3 and 0 to
+    # 2 and 4: 6 messages of 9 ids, at most 3 to one key.
+    assert res.snapshots[1] == ((1,), (1,), (0,), (0,), (0,))
+    assert res.per_round[0] == RoundMetrics(1, 6, 9, 3, 5)
+    assert res.components == [(0, 1, 2, 3, 4)]
 
 
 @pytest.mark.parametrize("tau", [1, 5, inf])

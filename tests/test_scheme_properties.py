@@ -1,12 +1,13 @@
 """Property tests for the component schemes on small generated graphs.
 
 Every gate variant, plus hash-to-min-lb at tau=2, runs as run drives it
-(hash-to-min, both phases of lb and hash-to-all on the columnar round) and
-on the per-node path (hash_arrays hidden, lb's phase 2 included). Both must
-agree byte for byte, converge to the oracle's partition and to networkx's,
-and keep every recorded cluster strictly increasing within 0..n-1. The
-per-round metrics of the schemes that run wholly on hash and merge equal a
-tally taken around those calls.
+(every scheme on the columnar round, both phases of lb included, and
+hash-min and hgtm-alt through their merge_arrays) and on the per-node path
+(hash_arrays hidden, lb's phase 2 included). Both must agree byte for
+byte, converge to the oracle's partition and to networkx's, and keep every
+recorded cluster strictly increasing within 0..n-1. The per-round metrics
+of the schemes that run wholly on hash and merge equal a tally taken
+around those calls.
 """
 
 from math import inf
