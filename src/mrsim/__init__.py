@@ -6,14 +6,12 @@ from .engine import EngineFault, RoundMetrics, RunResult, merge_sorted_dedup, ru
 from .graph import (Graph, GraphError, diameter, gen_complete_binary_tree, gen_path,
                     gen_random, gen_star, load_edge_list, relabel, relabel_random)
 from .schemes import SCHEME_NAMES, make_scheme
-from .slc import (StopPredicate, cluster_distance, distance_threshold, is_core, mcd,
-                  never_stop, run_slc, size_threshold, split, split_repair, stop_round)
+from .slc import StopPredicate, mcd, run_slc, split_repair, stop_round
 
 __all__ = [
     "EngineFault", "Graph", "GraphError", "RoundMetrics", "RunResult",
-    "SCHEME_NAMES", "StopPredicate", "cluster_distance", "diameter",
-    "distance_threshold", "gen_complete_binary_tree", "gen_path", "gen_random",
-    "gen_star", "is_core", "load_edge_list", "make_scheme", "mcd",
-    "merge_sorted_dedup", "never_stop", "relabel", "relabel_random", "run",
-    "run_slc", "size_threshold", "split", "split_repair", "step", "stop_round",
+    "SCHEME_NAMES", "StopPredicate", "diameter", "gen_complete_binary_tree",
+    "gen_path", "gen_random", "gen_star", "load_edge_list", "make_scheme", "mcd",
+    "merge_sorted_dedup", "relabel", "relabel_random", "run", "run_slc",
+    "split_repair", "step", "stop_round",
 ]

@@ -179,7 +179,7 @@ def cmd_slc(args):
     result = slc.run_slc(g, args.algo, pred, args.max_rounds)
     mismatch = False
     if args.verify and result.converged:
-        expect = oracle.centralized_slc(g, *pred.key())
+        expect = oracle.centralized_slc(g, pred.kind, pred.param)
         mismatch = result.clusters != expect
     if args.format == "json":
         doc = {

@@ -61,9 +61,6 @@ class Graph:
     def m(self):
         return sum(len(a) for a in self.adj) // 2
 
-    def neighbors(self, v):
-        return self.adj[v]
-
     def weight(self, u, v):
         if self.weights is None:
             raise GraphError("graph is unweighted")

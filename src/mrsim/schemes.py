@@ -20,7 +20,6 @@ import numpy as np
 
 from . import engine
 from .engine import merge_sorted_dedup
-from .graph import Graph
 
 
 def _closed_neighborhoods(g):
@@ -102,7 +101,8 @@ class HashMin:
     def export(self, g, state):
         groups = {}
         for v, st in enumerate(state):
-            groups.setdefault(st[0], []).append(v)
+            if st:
+                groups.setdefault(st[0], []).append(v)
         return sorted(tuple(sorted(grp)) for grp in groups.values())
 
 
@@ -295,8 +295,8 @@ class LbHashToMin(HashToMin):
     members at most v to the cluster minimum, keeping the rest on v as a new
     intermediate cluster; HashToMin's hash and hash_arrays do that split. A
     second phase stitches the resulting sub-clusters together over the real
-    edges of a contracted graph, so the partition never depends on which
-    edges phase one saw.
+    edges between them, so the partition never depends on which edges phase
+    one saw.
 
     With tau=inf there are no hubs and the scheme is plain hash-to-min plus
     a one-round stitch. The cap is not a bound on reducer input:
@@ -344,30 +344,26 @@ class LbHashToMin(HashToMin):
         return state
 
     def finalize(self, g, result, max_rounds):
-        """Phase 2: contract phase-1 clusters to single nodes, run plain
-        hash-to-min on the contraction, and expand back."""
+        """Phase 2: plain hash-to-min among the phase-1 labels, in g's own
+        ids. Each label starts holding itself and the labels that g's edges
+        join it to, and every other node nothing; each label's members then
+        join its component."""
         labels = [st[0] if st else v for v, st in enumerate(result.final)]
-        distinct = sorted(set(labels))
-        rank = {lab: i for i, lab in enumerate(distinct)}
-        cedges = set()
+        seed = {lab: {lab} for lab in labels}
         for u, v in g.edges():
-            lu, lv = rank[labels[u]], rank[labels[v]]
-            if lu != lv:
-                cedges.add((lu, lv) if lu < lv else (lv, lu))
-        cg = Graph(len(distinct), sorted(cedges))
-        phase2 = engine.run(cg, HashToMin(), max_rounds)
+            if labels[u] != labels[v]:
+                seed[labels[u]].add(labels[v])
+                seed[labels[v]].add(labels[u])
+        phase2 = engine.run(g, HashToMin(), max_rounds, initial_state=[
+            tuple(sorted(seed[v])) if v in seed else () for v in range(g.n)])
         members = {}
         for v, lab in enumerate(labels):
             members.setdefault(lab, []).append(v)
         components = None
         if phase2.converged and phase2.components is not None:
-            components = []
-            for comp in phase2.components:
-                nodes = []
-                for ci in comp:
-                    nodes.extend(members[distinct[ci]])
-                components.append(tuple(sorted(nodes)))
-            components.sort()
+            components = sorted(
+                tuple(sorted(chain.from_iterable(members[lab] for lab in comp)))
+                for comp in phase2.components)
         shifted = [replace(m, round=m.round + result.rounds)
                    for m in phase2.per_round]
         return replace(

@@ -8,8 +8,7 @@ merges the last rounds overshot.
 Cluster analysis runs on single-linkage merge forests, all built by one
 Kruskal (_forest) on the subgraph induced by a member list, with the leaves
 laid out so that the members under each node are one slice. A cluster's own
-tree serves split, Stop_local and the connectivity checks: removing the
-heaviest tree edge is the same as stepping down one merge.
+tree serves Stop_local and the connectivity checks.
 
 Cores come off the forest of the whole graph, because a connected set is a
 core (every recursive split gives two mutually nearest halves) exactly when
@@ -29,7 +28,6 @@ whose slice lies inside it, and two distinct cores never tie for a node.
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import inf
 
 from . import engine
 from .graph import GraphError
@@ -82,27 +80,12 @@ class StopPredicate:
         f, r = _tree(g, c)
         return self.stopped(f.size[r], f.topw[r])
 
-    def key(self):
-        return (self.kind, self.param)
-
     def __str__(self):
         if self.kind == "never":
             return "never"
         if self.kind == "dist":
             return "dist:%g" % self.param
         return "size:%d" % self.param
-
-
-def distance_threshold(theta):
-    return StopPredicate("dist", theta)
-
-
-def size_threshold(s):
-    return StopPredicate("size", s)
-
-
-def never_stop():
-    return StopPredicate("never")
 
 
 class _Forest:
@@ -187,35 +170,6 @@ def _tree(g, c):
     return f, f.roots[0]
 
 
-def cluster_distance(g, a, b):
-    """Lightest edge between two disjoint clusters, inf if none."""
-    if g.weights is None:
-        raise GraphError("cluster distance needs edge weights")
-    sa, sb = set(a), set(b)
-    if not sa or not sb:
-        raise GraphError("clusters must be nonempty")
-    if sa & sb:
-        raise GraphError("clusters overlap")
-    if len(sa) > len(sb):
-        sa, sb = sb, sa
-    best = inf
-    for u in sa:
-        for v in g.adj[u]:
-            if v in sb:
-                w = g.weight(u, v)
-                if w < best:
-                    best = w
-    return best
-
-
-def split(g, c):
-    """Remove the heaviest merge-tree edge: the top two sub-merges."""
-    if len(c) < 2:
-        raise GraphError("cannot split a cluster of size %d" % len(c))
-    f, r = _tree(g, c)
-    return tuple(sorted((f.members(f.left[r]), f.members(f.right[r]))))
-
-
 def _cores(f, clusters):
     """Each node's largest core among the clusters: the highest nodes of the
     graph's forest f (leaf v is node v) that one cluster holds whole, that is
@@ -266,12 +220,6 @@ def _connected_cores(g, c, cache=None):
     _tree(g, c)
     f = _graph_forest(g, cache)
     return f, _cores(f, [c])
-
-
-def is_core(g, c):
-    """True when every recursive split is a pair of mutually nearest halves,
-    that is when c is a node of the graph's merge forest."""
-    return len(_connected_cores(g, c)[1]) == 1
 
 
 def mcd(g, c, cache=None):

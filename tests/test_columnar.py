@@ -182,9 +182,10 @@ def test_columnar_worked_trace_with_empty_states(columnar_rounds):
         "hash-to-min-lb": ((), (1, 2, 4), (1,), (3, 4, 5), (1, 3), (3,)),
         # A label round inserts the least id received into the state.
         "hgtm-alt": ((), (1, 2, 4), (1,), (), (3,), (3, 4, 5)),
+        # Node 3 hears nothing and keeps its empty state; node 0 never hears
+        # a label, and export leaves it out.
+        "hash-min": ((), (1,), (1,), (), (3,), (3,)),
     }
-    # hash-min's export reads a label off every node, and node 0 never
-    # gets one here; the next test gives it a worked trace of its own.
     runs = {}
     for name, snap in want.items():
         runs[name] = _assert_same(g, SCHEMES[name], columnar_rounds, initial_state=init)
@@ -204,6 +205,7 @@ def test_columnar_worked_trace_with_empty_states(columnar_rounds):
                                    ((), (1, 2, 4), (1,), (1, 5), (1,), (1, 3))]
     assert hgtm.per_round[2] == RoundMetrics(3, 6, 8, 4, 7)
     assert [m.messages for m in hgtm.per_round[3:5]] == [13, 15]
+    assert runs["hash-min"].components == runs["hash-to-min"].components == [(1, 2, 3, 4, 5)]
 
 
 def test_columnar_hash_min_worked_trace(columnar_rounds):

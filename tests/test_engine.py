@@ -270,3 +270,13 @@ def test_result_to_json_null_fields():
     assert doc["seed"] is None
     assert doc["components"] is None
     assert doc["converged"] is False
+
+
+def test_package_all_names_resolve():
+    import mrsim
+    assert len(set(mrsim.__all__)) == len(mrsim.__all__)
+    for name in mrsim.__all__:
+        assert getattr(mrsim, name) is not None, name
+    ns = {}
+    exec("from mrsim import *", ns)
+    assert set(ns) - {"__builtins__"} == set(mrsim.__all__)

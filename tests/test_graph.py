@@ -44,7 +44,6 @@ def test_graph_basic_accessors():
     assert g.n == 4
     assert g.m == 3
     assert g.adj == ((1,), (0, 2), (1, 3), (2,))
-    assert g.neighbors(1) == (0, 2)
     assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
     assert g.weights is None
 

@@ -1,5 +1,7 @@
 """Scheme behavior tests: frozen small traces, growth laws, terminal shapes."""
 
+from dataclasses import replace
+
 import pytest
 
 from mrsim.engine import run
@@ -158,6 +160,27 @@ def test_lb_small_tau_still_partitions_correctly():
             assert 1 <= res.phase_split < res.rounds
             assert [m.round for m in res.per_round] == list(
                 range(1, res.rounds + 1))
+
+
+def test_lb_phase_two_equals_hash_to_min_on_the_contraction():
+    """Phase 2 runs on the graph itself, seeded at the phase-1 labels. Ranks
+    keep the labels' order, so its rounds must equal plain hash-to-min on
+    the contracted graph, built here apart from the scheme."""
+    graphs = [gen_random(150, 0.03, seed=4), gen_star(300), gen_random(100, 0.01, seed=2),
+              Graph(61, [(v, v + 1) for v in range(1, 60)] + [(0, 60)])]
+    for g in graphs:
+        for tau in (1, 5, None):
+            res = run(g, make_scheme("hash-to-min-lb", tau=tau), 1000)
+            labels = [st[0] if st else v for v, st in enumerate(res.final)]
+            rank = {lab: i for i, lab in enumerate(sorted(set(labels)))}
+            edges = {tuple(sorted((rank[labels[u]], rank[labels[v]])))
+                     for u, v in g.edges() if labels[u] != labels[v]}
+            ref = run(Graph(len(rank), sorted(edges)), HashToMin(), 1000)
+            assert res.converged and ref.converged, (g.n, tau)
+            phase2 = [replace(m, round=m.round - res.phase_split)
+                      for m in res.per_round[res.phase_split:]]
+            assert phase2 == ref.per_round, (g.n, tau)
+            assert res.components == union_find_components(g)
 
 
 def test_lb_splits_oversized_clusters_in_phase_one():

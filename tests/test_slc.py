@@ -1,6 +1,6 @@
-"""Clustering operator tests: stop rules, split, cores, repair, full runs."""
-
-from math import inf
+"""Clustering operator tests: stop rules, cores, repair, full runs. Cores
+are checked against test_slc_properties' brute-force references, which
+import nothing from mrsim.slc."""
 
 import pytest
 
@@ -8,9 +8,8 @@ from mrsim import slc
 from mrsim.graph import (Graph, GraphError, gen_complete_binary_tree, gen_path,
                          gen_random, gen_star)
 from mrsim.oracle import centralized_slc, union_find_components
-from mrsim.slc import (StopPredicate, cluster_distance, distance_threshold,
-                       is_core, mcd, never_stop, run_slc, size_threshold,
-                       split, split_repair, stop_round)
+from mrsim.slc import StopPredicate, mcd, run_slc, split_repair, stop_round
+from test_slc_properties import brute_cores, top_split
 
 
 def wgraph(n, edges, weights):
@@ -35,9 +34,9 @@ def test_stop_predicate_parse_and_str():
     q = StopPredicate.parse("size:100")
     assert (q.kind, q.param) == ("size", 100)
     assert str(q) == "size:100"
-    assert never_stop().key() == ("never", None)
-    assert distance_threshold(0.5).key() == ("dist", 0.5)
-    assert size_threshold(3).key() == ("size", 3)
+    for kind, param, want in [("never", 5, None), ("dist", 1, 1.0), ("size", 3, 3)]:
+        pred = StopPredicate(kind, param)
+        assert (pred.kind, pred.param) == (kind, want)
 
 
 def test_stop_predicate_rejects_bad_specs():
@@ -52,34 +51,34 @@ def test_stop_predicate_rejects_bad_specs():
 
 
 def test_stop_predicate_boundaries():
-    s = size_threshold(4)
+    s = StopPredicate("size", 4)
     assert not s.stopped(4, 0.9)
     assert s.stopped(5, 0.0)
-    d = distance_threshold(0.3)
+    d = StopPredicate("dist", 0.3)
     assert not d.stopped(99, 0.3)
     assert d.stopped(2, 0.30001)
-    n = never_stop()
+    n = StopPredicate("never")
     assert not n.stopped(10 ** 9, 1.0)
 
 
 def test_stop_predicate_local_on_singletons():
     g = wgraph(2, [(0, 1)], [0.4])
-    assert not size_threshold(1).local(g, (0,))
-    assert not distance_threshold(0.1).local(g, (1,))
-    assert not never_stop().local(g, (0,))
+    assert not StopPredicate("size", 1).local(g, (0,))
+    assert not StopPredicate("dist", 0.1).local(g, (1,))
+    assert not StopPredicate("never").local(g, (0,))
 
 
 def test_stop_predicate_local_uses_merge_tree_edges():
     g = wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.5, 0.2])
-    d = distance_threshold(0.3)
+    d = StopPredicate("dist", 0.3)
     assert not d.local(g, (0, 1))
     assert not d.local(g, (2, 3))
     assert d.local(g, (0, 1, 2, 3))
-    assert size_threshold(3).local(g, (0, 1, 2, 3))
-    assert not size_threshold(4).local(g, (0, 1, 2, 3))
+    assert StopPredicate("size", 3).local(g, (0, 1, 2, 3))
+    assert not StopPredicate("size", 4).local(g, (0, 1, 2, 3))
     # Every predicate reads the merge tree, so each needs a connected,
     # nonempty cluster of a weighted graph.
-    for pred in (d, size_threshold(1), never_stop()):
+    for pred in (d, StopPredicate("size", 1), StopPredicate("never")):
         with pytest.raises(GraphError):
             pred.local(g, (0, 3))
         with pytest.raises(GraphError):
@@ -92,14 +91,13 @@ def test_stop_predicate_local_uses_merge_tree_edges():
 
 
 def test_stop_predicate_monotone_along_merge_tree():
-    preds = [distance_threshold(0.3), distance_threshold(0.7),
-             size_threshold(3), never_stop()]
+    preds = [StopPredicate("dist", 0.3), StopPredicate("dist", 0.7),
+             StopPredicate("size", 3), StopPredicate("never")]
 
     def walk(g, c, pred):
         if len(c) == 1:
             return
-        lo, hi = split(g, c)
-        for child in (lo, hi):
+        for child in top_split(g, c)[1]:
             if len(child) > 1 and pred.local(g, child):
                 assert pred.local(g, c)
             walk(g, child, pred)
@@ -111,88 +109,39 @@ def test_stop_predicate_monotone_along_merge_tree():
                 walk(g, comp, pred)
 
 
-def test_cluster_distance_examples():
-    g = wgraph(4, [(0, 1), (2, 3), (0, 2), (1, 3)], [0.1, 0.2, 0.3, 0.6])
-    assert cluster_distance(g, (0, 1), (2, 3)) == 0.3
-    assert cluster_distance(g, (2, 3), (0, 1)) == 0.3
-    far = wgraph(4, [(0, 1), (2, 3)], [0.1, 0.2])
-    assert cluster_distance(far, (0, 1), (2, 3)) == inf
-    with pytest.raises(GraphError):
-        cluster_distance(g, (0, 1), (1, 2))
-    with pytest.raises(GraphError):
-        cluster_distance(g, (), (1, 2))
-    with pytest.raises(GraphError):
-        cluster_distance(gen_path(4), (0, 1), (2, 3))
-
-
-def test_cluster_distance_matches_brute_force():
-    import random
-    rng = random.Random(5)
-    g = gen_random(30, 0.15, seed=3, weighted=True)
-    for _ in range(50):
-        nodes = rng.sample(range(g.n), rng.randrange(2, 12))
-        cut = rng.randrange(1, len(nodes))
-        a, b = nodes[:cut], nodes[cut:]
-        sa, sb = set(a), set(b)
-        best = inf
-        for u, v in g.edges():
-            if (u in sa and v in sb) or (u in sb and v in sa):
-                best = min(best, g.weight(u, v))
-        assert cluster_distance(g, a, b) == best
-
-
-def test_split_removes_heaviest_merge():
-    g = wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.5, 0.2])
-    assert split(g, (0, 1, 2, 3)) == ((0, 1), (2, 3))
-    assert split(g, (1, 2)) == ((1,), (2,))
-
-
 def test_split_halves_reconnect_at_the_removed_weight():
     for seed in range(4):
         g, _ = connected_weighted(20, 0.2, seed * 10)
         comp = tuple(range(g.n))
-        lo, hi = split(g, comp)
-        assert sorted(lo + hi) == list(comp)
-        assert not set(lo) & set(hi)
-        d = cluster_distance(g, lo, hi)
-        assert d < inf
-        for half in (lo, hi):
-            if len(half) > 1:
-                assert not distance_threshold(d).local(g, half)
-
-
-def test_split_errors():
-    g = wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.5, 0.2])
-    with pytest.raises(GraphError):
-        split(g, (0,))
-    with pytest.raises(GraphError):
-        split(g, ())
-    with pytest.raises(GraphError):
-        split(g, (0, 3))
-    with pytest.raises(GraphError):
-        split(gen_path(4), (0, 1, 2, 3))
-    with pytest.raises(GraphError):
-        split(g, (3, 4))
+        d, (lo, hi) = top_split(g, comp)
+        assert d == min(g.weight(u, v) for u in lo for v in g.adj[u] if v in hi)
+        # Stop_local reads that weight off the cluster's own tree, and each
+        # half's tree stops below it.
+        assert StopPredicate("dist", d * 0.999).local(g, comp)
+        for c in (comp, lo, hi):
+            if len(c) > 1:
+                assert not StopPredicate("dist", d).local(g, c)
 
 
 def test_is_core_examples():
     g = wgraph(3, [(0, 1), (1, 2)], [0.5, 0.1])
-    assert is_core(g, (0,))
-    assert is_core(g, (1, 2))
-    assert not is_core(g, (0, 1))
-    assert is_core(g, (0, 1, 2))
+    # A connected cluster is a core when mcd leaves it whole.
+    assert mcd(g, (0,)) == [(0,)]
+    assert mcd(g, (1, 2)) == [(1, 2)]
+    assert mcd(g, (0, 1)) != [(0, 1)]
+    assert mcd(g, (0, 1, 2)) == [(0, 1, 2)]
     with pytest.raises(GraphError):
-        is_core(g, (0, 2))
+        mcd(g, (0, 2))
     # Ids outside 0..n-1 are rejected, not read as other nodes.
     with pytest.raises(GraphError):
-        is_core(g, (-1,))
+        mcd(g, (-1,))
 
 
 def test_whole_components_are_cores():
     for seed in range(5):
         g = gen_random(40, 0.08, seed=seed, weighted=True)
         for comp in union_find_components(g):
-            assert is_core(g, comp)
+            assert mcd(g, comp) == [comp]
 
 
 def test_mcd_examples():
@@ -210,13 +159,6 @@ def test_mcd_examples():
 def test_mcd_partitions_into_maximal_cores():
     import random
     rng = random.Random(2)
-
-    def brute(g, c):
-        if is_core(g, c):
-            return [c]
-        lo, hi = split(g, c)
-        return sorted(brute(g, lo) + brute(g, hi))
-
     for seed in range(5):
         g, _ = connected_weighted(18, 0.25, seed * 10)
         for _ in range(10):
@@ -226,8 +168,7 @@ def test_mcd_partitions_into_maximal_cores():
             got = mcd(g, c)
             flat = sorted(v for piece in got for v in piece)
             assert flat == sorted(c)
-            assert all(is_core(g, piece) for piece in got)
-            assert got == brute(g, c)
+            assert got == sorted(core for core, _ in brute_cores(g, c))
 
 
 def grow_connected(g, start, size, rng):
@@ -245,16 +186,16 @@ def grow_connected(g, start, size, rng):
 
 def test_split_repair_examples():
     g = wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.5, 0.15])
-    d = distance_threshold(0.3)
+    d = StopPredicate("dist", 0.3)
     assert split_repair(g, (0, 1, 2, 3), d) == [(0, 1), (2, 3)]
     assert split_repair(g, (0, 1), d) == [(0, 1)]
-    assert split_repair(g, (0, 1, 2, 3), never_stop()) == [(0, 1, 2, 3)]
-    assert split_repair(g, (0, 1, 2, 3), size_threshold(1)) == [
+    assert split_repair(g, (0, 1, 2, 3), StopPredicate("never")) == [(0, 1, 2, 3)]
+    assert split_repair(g, (0, 1, 2, 3), StopPredicate("size", 1)) == [
         (0,), (1,), (2,), (3,)]
     with pytest.raises(GraphError):
         split_repair(g, (0, 2), d)
     with pytest.raises(GraphError):
-        split_repair(g, (-1,), never_stop())
+        split_repair(g, (-1,), StopPredicate("never"))
 
 
 def test_split_repair_matches_centralized_on_whole_components():
@@ -276,29 +217,29 @@ def test_split_repair_matches_centralized_on_whole_components():
 def test_stop_round_requires_coverage():
     g = wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.5, 0.2])
     with pytest.raises(GraphError):
-        stop_round(g, [(0, 1)], never_stop())
+        stop_round(g, [(0, 1)], StopPredicate("never"))
     # Ids outside 0..n-1 are rejected, not read as other nodes.
     g = wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.9, 0.15])
     for bad in ((-1,), (5,)):
         with pytest.raises(GraphError):
-            stop_round(g, [(0, 1, 2, 3), bad], distance_threshold(0.5))
+            stop_round(g, [(0, 1, 2, 3), bad], StopPredicate("dist", 0.5))
 
 
 def test_stop_round_cases():
     g = wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.9, 0.15])
     singles = [(0,), (1,), (2,), (3,)]
-    assert stop_round(g, singles, never_stop()) is False
-    assert stop_round(g, singles, size_threshold(1)) is False
+    assert stop_round(g, singles, StopPredicate("never")) is False
+    assert stop_round(g, singles, StopPredicate("size", 1)) is False
     whole = [(0, 1, 2, 3)]
-    assert stop_round(g, whole, never_stop()) is False
-    assert stop_round(g, whole, distance_threshold(0.5)) is True
-    assert stop_round(g, whole, distance_threshold(0.95)) is False
-    assert stop_round(g, [(0, 1), (2, 3)], distance_threshold(0.5)) is False
-    assert stop_round(g, whole, size_threshold(3)) is True
-    assert stop_round(g, whole, size_threshold(4)) is False
+    assert stop_round(g, whole, StopPredicate("never")) is False
+    assert stop_round(g, whole, StopPredicate("dist", 0.5)) is True
+    assert stop_round(g, whole, StopPredicate("dist", 0.95)) is False
+    assert stop_round(g, [(0, 1), (2, 3)], StopPredicate("dist", 0.5)) is False
+    assert stop_round(g, whole, StopPredicate("size", 3)) is True
+    assert stop_round(g, whole, StopPredicate("size", 4)) is False
     # A repeated id counts once.
-    assert stop_round(g, [(0, 0, 1, 2, 3)], distance_threshold(0.5)) is True
-    assert stop_round(g, [(0, 0, 1), (2, 3)], distance_threshold(0.5)) is False
+    assert stop_round(g, [(0, 0, 1, 2, 3)], StopPredicate("dist", 0.5)) is True
+    assert stop_round(g, [(0, 0, 1), (2, 3)], StopPredicate("dist", 0.5)) is False
 
 
 def test_run_slc_extreme_thresholds():
@@ -307,11 +248,11 @@ def test_run_slc_extreme_thresholds():
     lo, hi = min(weights), max(weights)
     for algo in ("hash-to-all", "hash-to-min"):
         if hi < 1.0:
-            res = run_slc(g, algo, distance_threshold(1.0), 200)
+            res = run_slc(g, algo, StopPredicate("dist", 1.0), 200)
             assert res.clusters == union_find_components(g)
-        res = run_slc(g, algo, distance_threshold(lo * 0.5), 200)
+        res = run_slc(g, algo, StopPredicate("dist", lo * 0.5), 200)
         assert res.clusters == [(v,) for v in range(g.n)]
-        res = run_slc(g, algo, never_stop(), 200)
+        res = run_slc(g, algo, StopPredicate("never"), 200)
         assert res.clusters == union_find_components(g)
 
 
@@ -350,7 +291,7 @@ def test_run_slc_handles_disconnected_graphs():
 
 def test_run_slc_repairs_even_when_out_of_rounds():
     g = gen_path(32, weighted=True)
-    res = run_slc(g, "hash-to-min", never_stop(), 2)
+    res = run_slc(g, "hash-to-min", StopPredicate("never"), 2)
     assert not res.converged
     assert not res.stopped
     assert res.rounds == 2
@@ -361,11 +302,11 @@ def test_run_slc_repairs_even_when_out_of_rounds():
 def test_run_slc_errors():
     g = gen_path(8, weighted=True)
     with pytest.raises(GraphError):
-        run_slc(gen_path(8), "hash-to-min", never_stop(), 10)
+        run_slc(gen_path(8), "hash-to-min", StopPredicate("never"), 10)
     with pytest.raises(GraphError):
-        run_slc(g, "hash-min", never_stop(), 10)
+        run_slc(g, "hash-min", StopPredicate("never"), 10)
     with pytest.raises(GraphError):
-        run_slc(g, "hash-to-min", never_stop(), 0)
+        run_slc(g, "hash-to-min", StopPredicate("never"), 0)
 
 
 def test_stop_round_and_run_slc_on_empty_and_single_node_graphs():

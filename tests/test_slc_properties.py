@@ -1,6 +1,6 @@
 """Property tests for the clustering on small generated graphs: run_slc
 against the centralized oracle and against a networkx minimum spanning
-forest cut at the distance threshold, and is_core and stop_round against
+forest cut at the distance threshold, and mcd and stop_round against
 brute-force references written from the definition of a core."""
 
 from math import inf
@@ -14,7 +14,7 @@ from mrsim import engine
 from mrsim.graph import Graph, GraphError
 from mrsim.oracle import centralized_slc
 from mrsim.schemes import HashToAll, HashToMin
-from mrsim.slc import StopPredicate, is_core, run_slc, stop_round
+from mrsim.slc import StopPredicate, mcd, run_slc, stop_round
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None, database=None)
 # stop_round answers one bool for a whole collection, and one singleton core
@@ -50,7 +50,7 @@ def test_run_slc_matches_centralized(g, pred, algo):
     res = run_slc(g, algo, pred, 100)
     assert res.converged
     assert res.rounds == len(res.per_round)
-    assert res.clusters == centralized_slc(g, *pred.key())
+    assert res.clusters == centralized_slc(g, pred.kind, pred.param)
 
 
 def mst_cut(g, x):
@@ -241,6 +241,8 @@ def test_is_core_matches_brute_force(gc):
     pieces = bfs_pieces(g, c)
     if len(pieces) > 1:
         with pytest.raises(GraphError):
-            is_core(g, c)
+            mcd(g, c)
     for piece in pieces:
-        assert is_core(g, piece) is brute_is_core(g, piece), piece
+        got = mcd(g, piece)
+        assert got == sorted(core for core, _ in brute_cores(g, piece)), piece
+        assert (got == [piece]) is brute_is_core(g, piece), piece
