@@ -65,7 +65,7 @@ def _positive_int(text):
 
 
 def _parse_seeds(args):
-    if args.seed_list:
+    if args.seed_list is not None:
         try:
             return [int(s) for s in args.seed_list.split(",")]
         except ValueError:

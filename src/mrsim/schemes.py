@@ -103,7 +103,7 @@ class HashMin:
         for v, st in enumerate(state):
             if st:
                 groups.setdefault(st[0], []).append(v)
-        return sorted(tuple(sorted(grp)) for grp in groups.values())
+        return sorted(map(tuple, groups.values()))
 
 
 class HashToAll:
@@ -128,7 +128,7 @@ class HashToAll:
         return ids, None, ids.size
 
     def export(self, g, state):
-        return sorted(dict.fromkeys(st for st in state if st))
+        return _export_min_labeled(g, state)
 
 
 class HashToMin:
@@ -286,17 +286,16 @@ class AlternatingHGTM:
 class LbHashToMin(HashToMin):
     """Hash-to-min with a reducer load cap.
 
-    A hub is a node whose closed neighborhood has more than tau ids. Edges
-    between two hubs or two non-hubs start on both sides, as in plain
-    hash-to-min. Edges from a hub to its non-hub neighbors are held on the
-    hub side only: those neighbors, in id order, are cut into runs of tau;
-    the hub keeps the first run and every later run starts as a star on its
-    least id. In later rounds a cluster larger than tau ships only its
-    members at most v to the cluster minimum, keeping the rest on v as a new
-    intermediate cluster; HashToMin's hash and hash_arrays do that split. A
-    second phase stitches the resulting sub-clusters together over the real
-    edges between them, so the partition never depends on which edges phase
-    one saw.
+    A hub is a node whose closed neighborhood has more than tau ids. Every
+    node starts with itself and its neighbors of the same kind, hub or
+    non-hub, as in plain hash-to-min. A hub also keeps its first tau non-hub
+    neighbors in id order, and each later run of tau of them is added to
+    the state of the run's least id. In later rounds a cluster larger than
+    tau ships only its members at most v to the cluster minimum, keeping the
+    rest on v as a new intermediate cluster; HashToMin's hash and
+    hash_arrays do that split. A second phase stitches the resulting
+    sub-clusters together over the real edges between them, so the
+    partition never depends on which edges phase one saw.
 
     With tau=inf there are no hubs and the scheme is plain hash-to-min plus
     a one-round stitch. The cap is not a bound on reducer input:
@@ -320,50 +319,36 @@ class LbHashToMin(HashToMin):
         self.tau = tau if tau == inf else int(tau)
 
     def init_state(self, g):
-        state = super().init_state(g)
         tau = self.tau
-        is_hub = [len(st) > tau for st in state]
-        runs = {}
-        for v in range(g.n):
-            if not is_hub[v]:
-                continue
-            keep = [v]
+        is_hub = [len(a) + 1 > tau for a in g.adj]
+        state = [[v] for v in range(g.n)]
+        for v, a in enumerate(g.adj):
             rest = []
-            for u in g.adj[v]:
-                (keep if is_hub[u] else rest).append(u)
-            keep.extend(rest[:tau])
-            state[v] = tuple(sorted(keep))
-            for i in range(tau, len(rest), tau):
-                part = tuple(rest[i:i + tau])
-                runs.setdefault(part[0], []).append(part)
-        for v in range(g.n):
+            for u in a:
+                (state[v] if is_hub[u] == is_hub[v] else rest).append(u)
             if is_hub[v]:
-                continue
-            st = tuple(u for u in state[v] if not is_hub[u])
-            state[v] = merge_sorted_dedup([st, *runs.get(v, ())])
-        return state
+                state[v] += rest[:tau]
+                for i in range(tau, len(rest), tau):
+                    state[rest[i]] += rest[i:i + tau]
+        return [tuple(sorted(set(st))) for st in state]
 
     def finalize(self, g, result, max_rounds):
         """Phase 2: plain hash-to-min among the phase-1 labels, in g's own
-        ids. Each label starts holding itself and the labels that g's edges
-        join it to, and every other node nothing; each label's members then
-        join its component."""
+        ids. Each label starts holding itself and the labels of its members'
+        neighbors, and every other node nothing. At the fixpoint each label
+        holds its component's minimum first, and every node joins the
+        component of its label."""
         labels = [st[0] if st else v for v, st in enumerate(result.final)]
-        seed = {lab: {lab} for lab in labels}
-        for u, v in g.edges():
-            if labels[u] != labels[v]:
-                seed[labels[u]].add(labels[v])
-                seed[labels[v]].add(labels[u])
+        seed = [[] for _ in range(g.n)]
+        for v, a in enumerate(g.adj):
+            s = seed[labels[v]]
+            s.append(labels[v])
+            s.extend(map(labels.__getitem__, a))
         phase2 = engine.run(g, HashToMin(), max_rounds, initial_state=[
-            tuple(sorted(seed[v])) if v in seed else () for v in range(g.n)])
-        members = {}
+            tuple(sorted(set(s))) for s in seed])
+        groups = {}
         for v, lab in enumerate(labels):
-            members.setdefault(lab, []).append(v)
-        components = None
-        if phase2.converged and phase2.components is not None:
-            components = sorted(
-                tuple(sorted(chain.from_iterable(members[lab] for lab in comp)))
-                for comp in phase2.components)
+            groups.setdefault(phase2.final[lab][0], []).append(v)
         shifted = [replace(m, round=m.round + result.rounds)
                    for m in phase2.per_round]
         return replace(
@@ -371,7 +356,7 @@ class LbHashToMin(HashToMin):
             rounds=result.rounds + phase2.rounds,
             converged=result.converged and phase2.converged,
             per_round=result.per_round + shifted,
-            components=components,
+            components=sorted(map(tuple, groups.values())) if phase2.converged else None,
             phase_split=result.rounds,
         )
 

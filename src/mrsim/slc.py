@@ -276,7 +276,11 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
 
     Growth is an engine.run of the scheme with stop_round as its stop test,
     so both growth schemes take the columnar round. A run that stops or
-    reaches its fixpoint counts as converged. cache keeps the graph's
+    reaches its fixpoint counts as converged. A run that runs out of rounds
+    first does not, and still returns the repair of its last grown state:
+    every node's largest core among the grown clusters, split while
+    Stop_local holds. Each of those clusters lies inside one of
+    centralized_slc's, so the answer can be finer. cache keeps the graph's
     forest."""
     if g.weights is None:
         raise GraphError("single-linkage clustering needs edge weights")

@@ -100,10 +100,12 @@ def test_usage_and_input_errors(capsys):
                  ["run", "--graph", "path:8", "--algo", "hash-to-min-lb", "--tau", "nan"],
                  ["sweep", "--family", "path", "--sizes", "8",
                   "--algo", "hash-to-min-lb", "--tau", "2.5"],
-                 ["gen", "--graph", "path:8", "--out", "/nonexistent/dir/g.txt"]):
+                 ["gen", "--graph", "path:8", "--out", "/nonexistent/dir/g.txt"],
+                 ["run", "--graph", "path:8", "--seed-list", ""]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert "error:" in err and "Traceback" not in err
+    assert "bad --seed-list" in err
     for argv in (["run", "--graph", "path:8", "--tau", "x"],
                  ["run", "--graph", "path:8", "--max-rounds", "0"],
                  ["run", "--graph", "path:8", "--seeds", "0"],

@@ -7,7 +7,8 @@ hash-min and hgtm-alt through their merge_arrays) and on the per-node path
 byte, converge to the oracle's partition and to networkx's, and keep every
 recorded cluster strictly increasing within 0..n-1. The per-round metrics
 of the schemes that run wholly on hash and merge equal a tally taken
-around those calls.
+around those calls. hash-to-min-lb's start state follows its edge rule,
+checked edge by edge.
 """
 
 from math import inf
@@ -109,3 +110,32 @@ def test_metrics_match_a_tally_of_hash_and_merge(g):
             assert m.node_id_volume == rec["volume"], (name, m.round)
             assert m.max_reducer_in == max(rec["per_key"].values(), default=0), (name, m.round)
             assert m.total_state == rec["state"], (name, m.round)
+
+
+def lb_start_reference(g, tau):
+    """hash-to-min-lb's start state from its edge rule, one edge at a time.
+    Hub-hub and non-hub-non-hub edges are held on both sides. The hub of a
+    hub-non-hub edge holds it when the non-hub is among its first tau
+    non-hub neighbors in id order; otherwise the least id of the run of tau
+    that the non-hub falls in holds it."""
+    hub = [len(g.adj[v]) + 1 > tau for v in range(g.n)]
+    held = [{v} for v in range(g.n)]
+    for u, v in g.edges():
+        if hub[u] == hub[v]:
+            held[u].add(v)
+            held[v].add(u)
+            continue
+        h, x = (u, v) if hub[u] else (v, u)
+        rest = sorted(w for w in g.adj[h] if not hub[w])
+        i = rest.index(x)
+        held[h if i < tau else rest[i - i % tau]].add(x)
+    return [tuple(sorted(c)) for c in held]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(graphs(), st.sampled_from([1, 2, 3, 5, inf]))
+def test_lb_start_state_follows_the_edge_rule(g, tau):
+    got = schemes.LbHashToMin(tau).init_state(g)
+    assert list(got) == lb_start_reference(g, tau)
+    if tau == inf:
+        assert list(got) == list(schemes.HashToMin().init_state(g))

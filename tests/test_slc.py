@@ -4,12 +4,12 @@ import nothing from mrsim.slc."""
 
 import pytest
 
-from mrsim import slc
+from mrsim import engine, slc
 from mrsim.graph import (Graph, GraphError, gen_complete_binary_tree, gen_path,
                          gen_random, gen_star)
 from mrsim.oracle import centralized_slc, union_find_components
 from mrsim.slc import StopPredicate, mcd, run_slc, split_repair, stop_round
-from test_slc_properties import brute_cores, top_split
+from test_slc_properties import brute_cores, reference_repair, top_split
 
 
 def wgraph(n, edges, weights):
@@ -290,6 +290,9 @@ def test_run_slc_handles_disconnected_graphs():
 
 
 def test_run_slc_repairs_even_when_out_of_rounds():
+    """A run cut short returns the grown clusters' largest cores, split while
+    Stop_local holds: the brute-force repair of the last grown state. Under
+    'never' these graphs do not finish growing in 3 rounds."""
     g = gen_path(32, weighted=True)
     res = run_slc(g, "hash-to-min", StopPredicate("never"), 2)
     assert not res.converged
@@ -297,6 +300,19 @@ def test_run_slc_repairs_even_when_out_of_rounds():
     assert res.rounds == 2
     flat = sorted(v for c in res.clusters for v in c)
     assert flat == list(range(g.n))
+    for g in (gen_path(32, weighted=True), gen_complete_binary_tree(63, weighted=True),
+              gen_random(60, 0.05, seed=1, weighted=True)):
+        for scheme in slc._SLC_SCHEMES.values():
+            for spec in ("never", "dist:0.5", "size:6"):
+                pred = StopPredicate.parse(spec)
+                for rounds in (1, 2, 3):
+                    res = run_slc(g, scheme.name, pred, rounds)
+                    assert res.converged or res.rounds == rounds
+                    if spec == "never":
+                        assert not res.converged
+                    grown = engine.run(g, scheme(), res.rounds, record=True).snapshots[-1]
+                    want = reference_repair(g, [c for c in grown if c], pred)
+                    assert res.clusters == want, (g.n, scheme.name, spec, rounds)
 
 
 def test_run_slc_errors():

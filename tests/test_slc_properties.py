@@ -1,7 +1,7 @@
 """Property tests for the clustering on small generated graphs: run_slc
 against the centralized oracle and against a networkx minimum spanning
-forest cut at the distance threshold, and mcd and stop_round against
-brute-force references written from the definition of a core."""
+forest cut at the distance threshold, and mcd, stop_round and the repair
+against brute-force references written from the definition of a core."""
 
 from math import inf
 
@@ -143,10 +143,10 @@ def brute_cores(g, c):
     return [core for half in halves for core in brute_cores(g, half)]
 
 
-def reference_stop_round(g, clusters, pred):
+def largest_cores(g, clusters):
     """Each node's largest core (ties to the smaller minimum id) over the
-    maximal cores of every cluster's connected pieces, then Stop_local on
-    every chosen core; never stops under 'never'."""
+    maximal cores of every cluster's connected pieces, as a dict from node
+    to (members, top merge weight)."""
     best = {}
     for c in dict.fromkeys(tuple(sorted(c)) for c in clusters):
         for piece in bfs_pieces(g, c):
@@ -157,9 +157,31 @@ def reference_stop_round(g, clusters, pred):
                         best[v] = (core, top)
     if len(best) != g.n:
         raise GraphError("cluster collection does not cover every node")
+    return best
+
+
+def reference_stop_round(g, clusters, pred):
+    """Stop_local on every node's largest core; never stops under 'never'."""
+    best = largest_cores(g, clusters)
     if pred.kind == "never":
         return False
     return all(pred.stopped(len(core), top) for core, top in best.values())
+
+
+def reference_repair(g, clusters, pred):
+    """Every node's largest core, split at its heaviest induced spanning-tree
+    edge for as long as Stop_local holds, as a sorted partition."""
+    out = []
+    todo = list(dict.fromkeys(core for core, _ in largest_cores(g, clusters).values()))
+    while todo:
+        c = todo.pop()
+        if len(c) > 1:
+            top, halves = top_split(g, c)
+            if pred.stopped(len(c), top):
+                todo += halves
+                continue
+        out.append(c)
+    return sorted(out)
 
 
 @st.composite
