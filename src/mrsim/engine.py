@@ -7,20 +7,21 @@ of node ids. Merging is defined purely by the incoming payloads plus the
 previous state passed as an explicit argument; a node with no incoming
 messages keeps nothing implicitly.
 
-A scheme may also offer hash_arrays, the array form of its hash. run then
-keeps the state as CSR arrays and does the union and the metrics with
-numpy: a sort of (key, id) codes for hash-to-min, both phases of
-hash-to-min-lb, hash-min and hgtm-alt, and a boolean sparse product for
-hash-to-all, which ships whole clusters. A scheme whose merge is more than
-the union of what a node receives also offers merge_arrays(rnd, new, prev),
-which maps each node's union and its previous state, both CSR, to its new
-state: hash-min keeps the least id received, and hgtm-alt inserts it into
-the previous state on its label rounds. Without merge_arrays the union is
-the new state. The per-node hash and merge stay the spec that step runs,
-for any wrapped scheme without hash_arrays, such as the benchmark's traced
-runs. The columnar round checks every state it is given; run checks a
-per-node run's first state the same way, so a bad initial state fails
-alike on both.
+run keeps every state as CSR arrays (lens, ids): each node's cluster
+length and all clusters' ids laid end to end. A scheme's hash_arrays, the
+array form of its hash, makes the round columnar: the union and the
+metrics are done with numpy, by a sort of (key, id) codes for hash-to-min,
+both phases of hash-to-min-lb, hash-min and hgtm-alt, and by a boolean
+sparse product for hash-to-all, which ships whole clusters. A scheme whose
+merge is more than the union of what a node receives also offers
+merge_arrays(rnd, new, prev), which maps each node's union and its
+previous state, both CSR, to its new state: hash-min keeps the least id
+received, and hgtm-alt inserts it into the previous state on its label
+rounds. Without merge_arrays the union is the new state. The per-node hash
+and merge stay the spec: a wrapped scheme without hash_arrays, such as the
+benchmark's traced runs, takes _node_step, which unpacks the state for
+step and packs step's result again. Both round kinds check every state
+they are given, so a bad initial state fails alike on both.
 
 run is the one round driver: component runs go to convergence, and
 single-linkage growth passes its stop check as run's stop test.
@@ -29,7 +30,7 @@ single-linkage growth passes its stop check as run's stop test.
 import json
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import eq, lt
+from operator import lt
 
 import numpy as np
 from scipy import sparse
@@ -124,7 +125,7 @@ def _pack(state, n):
     try:
         ids = np.fromiter(chain.from_iterable(state), dtype, int(lens.sum()))
     except OverflowError:
-        raise EngineFault("initial state holds an id outside 0..%d" % (n - 1)) from None
+        raise EngineFault("a state holds an id outside 0..%d" % (n - 1)) from None
     return lens, ids
 
 
@@ -219,21 +220,27 @@ def _whole_cluster_union(n, lens, ids, keys):
     return new, int(got.sum()), max_in
 
 
+def _node_step(g, scheme, state, rnd):
+    """One round of the per-node spec on CSR state: step (looked up here,
+    so a patched engine.step runs) on the unpacked clusters."""
+    _check_held(rnd, g.n, *state)
+    new, metrics = step(g, scheme, _unpack(state), rnd)
+    return _pack(new, g.n), metrics
+
+
 def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):
     """Drive a scheme to convergence, a stop, or max_rounds.
 
     Convergence is state equality checked every scheme.check_every rounds
-    (the confirming round is counted). record=True keeps a state snapshot
-    per round for replay inspection. stop, when given, is called after every
-    round with the state as a tuple of clusters, before the convergence
-    test; when it returns true the run ends with stopped=True and
-    converged=False, and export and finalize are skipped. A scheme with
-    hash_arrays (every scheme in mrsim.schemes) runs on CSR state through
-    _columnar_step instead of step; its merge_arrays, when it has one, folds
-    each round's union and the previous state into the new state, as its
-    merge does per node. Its final state, snapshots and the states stop
-    sees are tuples of Python ints, as step's are. A wrapped scheme without
-    hash_arrays takes step.
+    (the confirming round is counted). The state is held as CSR arrays
+    (lens, ids) throughout: a scheme with hash_arrays (every scheme in
+    mrsim.schemes) runs each round through _columnar_step, and one without
+    through _node_step. record=True keeps a state snapshot per round for
+    replay inspection. stop, when given, is called after every round with
+    the state's (lens, ids) arrays, before the convergence test; when it
+    returns true the run ends with stopped=True and converged=False, and
+    export and finalize are skipped. The final state and the snapshots are
+    tuples of clusters of Python ints.
     """
     if max_rounds < 1:
         raise EngineFault("max_rounds must be at least 1")
@@ -243,16 +250,12 @@ def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):
         state = [tuple(c) for c in initial_state]
         if len(state) != g.n:
             raise EngineFault("initial state must cover all %d nodes" % g.n)
-    round_fn, same, out = step, eq, tuple
+    state = _pack(state, g.n)
+    round_fn = _node_step
     if getattr(scheme, "hash_arrays", None) is not None:
-        state = _pack(state, g.n)
-        round_fn, same, out = _columnar_step, _same_csr, _unpack
-    else:
-        # The columnar round checks every state it is given; step trusts
-        # merge's, so the caller's is checked here, the same way.
-        _check_held(1, g.n, *_pack(state, g.n))
+        round_fn = _columnar_step
     check_every = getattr(scheme, "check_every", 1)
-    snapshots = [out(state)] if record else None
+    snapshots = [_unpack(state)] if record else None
     per_round = []
     last_checked = state
     converged = stopped = False
@@ -261,20 +264,17 @@ def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):
         state, metrics = round_fn(g, scheme, state, rnd)
         rounds = rnd
         per_round.append(metrics)
-        # Unpacked once per round, and only when someone looks at it.
-        final = out(state) if record or stop is not None else None
         if record:
-            snapshots.append(final)
-        if stop is not None and stop(final):
+            snapshots.append(_unpack(state))
+        if stop is not None and stop(state):
             stopped = True
             break
         if rnd % check_every == 0:
-            if same(state, last_checked):
+            if _same_csr(state, last_checked):
                 converged = True
                 break
             last_checked = state
-    if final is None:
-        final = out(state)
+    final = snapshots[-1] if record else _unpack(state)
     components = scheme.export(g, final) if converged else None
     result = RunResult(algo=scheme.name, rounds=rounds, converged=converged,
                        per_round=per_round, final=final,

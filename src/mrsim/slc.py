@@ -2,13 +2,15 @@
 
 Clusters grow by blind union rounds (hash-to-all or hash-to-min emissions on
 closed neighborhoods) driven by engine.run, the distributed stop check is
-run's stop test after every round, and a final split-repair pass undoes
-merges the last rounds overshot.
+run's stop test after every round, on the engine's CSR state, and a final
+split-repair pass undoes merges the last rounds overshot.
 
 Cluster analysis runs on single-linkage merge forests, all built by one
 Kruskal (_forest) on the subgraph induced by a member list, with the leaves
 laid out so that the members under each node are one slice. A cluster's own
-tree serves Stop_local and the connectivity checks.
+tree serves Stop_local and the connectivity checks. The stop check and the
+repair read masks over the whole graph's forest: a node is covered when one
+cluster holds its slice, and stands when also not stopped by Stop_local.
 
 Cores come off the forest of the whole graph, because a connected set is a
 core (every recursive split gives two mutually nearest halves) exactly when
@@ -27,7 +29,8 @@ whose slice lies inside it, and two distinct cores never tie for a node.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
+
+import numpy as np
 
 from . import engine
 from .graph import GraphError
@@ -78,7 +81,7 @@ class StopPredicate:
         """Stop_local on one connected cluster of a weighted graph: the rule
         on its size and its top merge-tree edge."""
         f, r = _tree(g, c)
-        return self.stopped(f.size[r], f.topw[r])
+        return bool(self.stopped(f.size[r], f.topw[r]))
 
     def __str__(self):
         if self.kind == "never":
@@ -90,16 +93,12 @@ class StopPredicate:
 
 class _Forest:
     """Merge forest of the subgraph induced by some members: leaves 0..k-1
-    are the members in the given order, internal nodes follow in merge
-    (ascending weight) order, and roots are the tops in the order of their
-    lowest leaf. The members under node t are order[lo[t]:lo[t] + size[t]]."""
+    are the members in the given order, and internal nodes follow in merge
+    (ascending weight) order. lo, size, topw and parent are arrays over the
+    nodes, parent -1 at a root. The members under node t are
+    order[lo[t]:lo[t] + size[t]]."""
 
-    __slots__ = ("order", "lo", "size", "topw", "left", "right", "roots")
-
-    def members(self, t):
-        """Sorted member ids under node t."""
-        lo = self.lo[t]
-        return tuple(sorted(self.order[lo:lo + self.size[t]]))
+    __slots__ = ("order", "lo", "size", "topw", "parent", "roots")
 
 
 def _forest(g, members):
@@ -115,8 +114,8 @@ def _forest(g, members):
             if j is not None and u < v:
                 edges.append((g.weights[u, v], i, j))
     edges.sort()
-    f = _Forest()
-    f.size, f.topw, f.left, f.right = [1] * k, [0.0] * k, [-1] * k, [-1] * k
+    # off[t] is where node t's slice starts inside its parent's.
+    size, topw, parent, off = [1] * k, [0.0] * k, [-1] * k, [0] * k
     uf = list(range(k))
 
     def find(x):
@@ -130,81 +129,74 @@ def _forest(g, members):
         if ri == rj:
             continue
         ta, tb = node_of[ri], node_of[rj]
-        f.size.append(f.size[ta] + f.size[tb])
-        f.topw.append(w)
-        f.left.append(ta)
-        f.right.append(tb)
+        parent[ta] = parent[tb] = node_of[rj] = len(size)
+        off[tb] = size[ta]
+        size.append(size[ta] + size[tb])
+        topw.append(w)
+        parent.append(-1)
+        off.append(0)
         uf[ri] = rj
-        node_of[rj] = len(f.size) - 1
-    f.roots = list(dict.fromkeys(node_of[find(i)] for i in range(k)))
-    f.lo = lo = [0] * len(f.size)
-    at = 0
-    for r in f.roots:
-        lo[r] = at
-        at += f.size[r]
     # Parents come after their children, so walking down from the last node
-    # hands each child its part of the parent's slice, the left one in front.
-    for t in range(len(lo) - 1, k - 1, -1):
-        lo[f.left[t]] = lo[t]
-        lo[f.right[t]] = lo[t] + f.size[f.left[t]]
+    # places each parent before its children read its lo; roots go end to end.
+    lo, at = [0] * len(size), 0
+    for t in range(len(size) - 1, -1, -1):
+        if parent[t] < 0:
+            lo[t], at = at, at + size[t]
+        else:
+            lo[t] = lo[parent[t]] + off[t]
+    f = _Forest()
+    f.size, f.parent, f.lo = (np.array(a, np.intp) for a in (size, parent, lo))
+    f.topw = np.array(topw, float)
+    f.roots = np.flatnonzero(f.parent < 0)
     f.order = [members[i] for i in sorted(range(k), key=lo.__getitem__)]
     return f
 
 
-def _checked(g, c):
-    """c sorted, after checking that its ids are nodes of g."""
-    c = tuple(sorted(c))
-    if c and (c[0] < 0 or c[-1] >= g.n):
-        raise GraphError("cluster %r has ids outside 0..%d" % (c, g.n - 1))
-    return c
-
-
 def _tree(g, c):
     """A connected cluster's own merge tree and its root."""
-    c = _checked(g, c)
+    c = tuple(sorted(c))
     if not c:
         raise GraphError("empty cluster")
+    if c[0] < 0 or c[-1] >= g.n:
+        raise GraphError("cluster %r has ids outside 0..%d" % (c, g.n - 1))
     f = _forest(g, c)
     if len(f.roots) != 1:
         raise GraphError("cluster %r is not connected" % (c,))
     return f, f.roots[0]
 
 
-def _cores(f, clusters):
-    """Each node's largest core among the clusters: the highest nodes of the
-    graph's forest f (leaf v is node v) that one cluster holds whole, that is
-    whose leaf slice one run of consecutive positions in a cluster covers.
-    reach[p] is the furthest end of a run that starts at or before p."""
-    reach = [0] * len(f.order)
-    for c in clusters:
-        end = -1
-        for p in sorted({f.lo[v] for v in c}):
-            if p != end:
-                start = p
-            end = p + 1
-            if reach[start] < end:
-                reach[start] = end
-    reach = list(accumulate(reach, max))
-    out = []
-    stack = list(f.roots)
-    while stack:
-        t = stack.pop()
-        if reach[f.lo[t]] >= f.lo[t] + f.size[t]:
-            out.append(t)
-        elif f.left[t] >= 0:
-            stack += (f.left[t], f.right[t])
-    return out
+def _cores(f, lens, ids, pred=None):
+    """The highest nodes of the graph's forest f (leaf v is node v) that one
+    of the CSR clusters (lens, ids) holds whole, as an index array: each
+    node's largest core among the clusters. A cluster holds a node whole
+    when one run of consecutive leaf positions in it covers the node's
+    slice; reach[p] is the furthest end of a run that starts at or before p.
+    With pred, the highest held nodes that are not stopped: Stop_local is
+    monotone up the forest, so the highest unstopped nodes under each core."""
+    n = len(f.order)
+    # Codes of one cluster lie n + 1 apart from the next cluster's, so no
+    # run of consecutive codes crosses from one cluster into the next.
+    code = np.repeat(np.arange(lens.size, dtype=np.intp), lens)
+    code *= n + 1
+    code += f.lo[ids]
+    code.sort()
+    starts = np.flatnonzero(np.diff(code, prepend=-2) > 1)
+    ends = np.append(starts, code.size)[1:] - 1
+    reach = np.zeros(n, np.intp)
+    np.maximum.at(reach, code[starts] % (n + 1), code[ends] % (n + 1) + 1)
+    np.maximum.accumulate(reach, out=reach)
+    keep = reach[f.lo] >= f.lo + f.size
+    if pred is not None:
+        keep &= np.logical_not(pred.stopped(f.size, f.topw))
+    # Index -1, a root's parent, reads the appended False.
+    return np.flatnonzero(keep & ~np.append(keep, False)[f.parent])
 
 
-def _unstopped(f, t, pred):
-    """The highest nodes under t that Stop_local lets stand (every leaf does)."""
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if pred.stopped(f.size[t], f.topw[t]):
-            stack += (f.left[t], f.right[t])
-        else:
-            yield t
+def _clusters(f, nodes):
+    """The forest nodes' member sets as a sorted list of sorted tuples."""
+    order = f.order
+    return sorted(tuple(sorted(order[lo:lo + k]))
+                  for lo, k in zip(f.lo[nodes].tolist(), f.size[nodes].tolist()))
 
 
 def _graph_forest(g, cache):
@@ -215,46 +207,50 @@ def _graph_forest(g, cache):
     return cache[g]
 
 
-def _connected_cores(g, c, cache=None):
-    """The graph's forest and the maximal cores of a connected cluster."""
+def _connected_cores(g, c, pred=None, cache=None):
+    """The graph's forest and the highest nodes of it inside the connected
+    cluster c, or with pred the highest of those that stand."""
     _tree(g, c)
     f = _graph_forest(g, cache)
-    return f, _cores(f, [c])
+    return f, _cores(f, np.array([len(c)], np.intp), np.array(c, np.intp), pred)
 
 
 def mcd(g, c, cache=None):
     """Minimal core decomposition: the highest nodes of the graph's merge
     forest inside the connected cluster c, a partition of it. cache keeps
     the graph's forest."""
-    f, cores = _connected_cores(g, c, cache)
-    return sorted(f.members(t) for t in cores)
+    return _clusters(*_connected_cores(g, c, cache=cache))
 
 
 def split_repair(g, c, pred):
     """Highest nodes of the graph's merge forest inside the connected
     cluster c that are not stopped: keeps every valid core, recursively
     splits the rest."""
-    f, cores = _connected_cores(g, c)
-    return sorted(f.members(s) for t in cores for s in _unstopped(f, t, pred))
+    return _clusters(*_connected_cores(g, c, pred))
 
 
-def _grown_cores(g, clusters, cache):
-    """The graph's forest and each node's largest core among the clusters.
-    Min-propagating growth can hand a node the ids of two far-apart minima, so
-    a grown cluster may be disconnected; that does not change its cores."""
+def _grown_cores(g, state, cache, pred=None):
+    """The graph's forest and _cores of the CSR state. Min-propagating growth
+    can hand a node the ids of two far-apart minima, so a grown cluster may
+    be disconnected; that does not change its cores. Repeated clusters and
+    ids set the same reach, and empty clusters none."""
+    lens, ids = state
+    if ids.size and (ids.min() < 0 or ids.max() >= g.n):
+        raise GraphError("a cluster has ids outside 0..%d" % (g.n - 1))
     f = _graph_forest(g, cache)
-    cores = _cores(f, dict.fromkeys(_checked(g, c) for c in clusters))
-    if sum(f.size[t] for t in cores) != g.n:
+    cores = _cores(f, lens, ids, pred)
+    # The highest nodes held, standing or not, partition the held leaves.
+    if f.size[cores].sum() != g.n:
         raise GraphError("cluster collection does not cover every node")
     return f, cores
 
 
-def stop_round(g, clusters, pred, cache=None):
-    """Global stop: hand each node the largest of the clusters' maximal
-    cores that holds it, read off the graph's merge forest, and require
-    Stop_local on all of them."""
-    f, cores = _grown_cores(g, clusters, cache)
-    return pred.kind != "never" and all(pred.stopped(f.size[t], f.topw[t]) for t in cores)
+def stop_round(g, state, pred, cache=None):
+    """Global stop on the CSR clusters state = (lens, ids): hand each node
+    the largest of the clusters' maximal cores that holds it, read off the
+    graph's merge forest, and require Stop_local on all of them."""
+    f, cores = _grown_cores(g, state, cache)
+    return pred.kind != "never" and bool(pred.stopped(f.size[cores], f.topw[cores]).all())
 
 
 @dataclass
@@ -291,9 +287,8 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
         raise GraphError("max_rounds must be at least 1")
     cache = {} if cache is None else cache
     res = engine.run(g, _SLC_SCHEMES[algo](), max_rounds,
-                     stop=lambda st: stop_round(g, (c for c in st if c), pred, cache))
-    f, cores = _grown_cores(g, (st for st in res.final if st), cache)
-    clusters = sorted(f.members(s) for t in cores for s in _unstopped(f, t, pred))
+                     stop=lambda state: stop_round(g, state, pred, cache))
+    clusters = _clusters(*_grown_cores(g, engine._pack(res.final, g.n), cache, pred))
     return SlcResult(algo=algo, stop=str(pred), rounds=res.rounds,
                      converged=res.converged or res.stopped, stopped=res.stopped,
                      per_round=res.per_round, clusters=clusters)

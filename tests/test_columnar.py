@@ -23,6 +23,7 @@ from mrsim.graph import (Graph, gen_complete_binary_tree, gen_path, gen_random,
                          gen_star, relabel_random)
 from mrsim.schemes import AlternatingHGTM, HashMin, HashToAll, HashToMin, LbHashToMin
 from mrsim.slc import StopPredicate, run_slc
+from test_slc_properties import csr
 
 
 class PerNodeHashToMin(HashToMin):
@@ -308,10 +309,10 @@ def test_run_slc_growth_columnar_matches_per_node(monkeypatch, columnar_rounds):
     seen = []
     real_stop_round = slc.stop_round
 
-    def recording_stop_round(g, clusters, pred, cache=None):
-        clusters = sorted(set(map(tuple, clusters)))
+    def recording_stop_round(g, state, pred, cache=None):
+        clusters = sorted(set(engine._unpack(state)) - {()})
         seen.append(clusters)
-        return real_stop_round(g, clusters, pred, cache)
+        return real_stop_round(g, csr(clusters), pred, cache)
     monkeypatch.setattr(slc, "stop_round", recording_stop_round)
 
     def runs():

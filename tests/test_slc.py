@@ -9,7 +9,7 @@ from mrsim.graph import (Graph, GraphError, gen_complete_binary_tree, gen_path,
                          gen_random, gen_star)
 from mrsim.oracle import centralized_slc, union_find_components
 from mrsim.slc import StopPredicate, mcd, run_slc, split_repair, stop_round
-from test_slc_properties import brute_cores, reference_repair, top_split
+from test_slc_properties import brute_cores, csr, reference_repair, top_split
 
 
 def wgraph(n, edges, weights):
@@ -217,29 +217,29 @@ def test_split_repair_matches_centralized_on_whole_components():
 def test_stop_round_requires_coverage():
     g = wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.5, 0.2])
     with pytest.raises(GraphError):
-        stop_round(g, [(0, 1)], StopPredicate("never"))
+        stop_round(g, csr([(0, 1)]), StopPredicate("never"))
     # Ids outside 0..n-1 are rejected, not read as other nodes.
     g = wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.9, 0.15])
     for bad in ((-1,), (5,)):
         with pytest.raises(GraphError):
-            stop_round(g, [(0, 1, 2, 3), bad], StopPredicate("dist", 0.5))
+            stop_round(g, csr([(0, 1, 2, 3), bad]), StopPredicate("dist", 0.5))
 
 
 def test_stop_round_cases():
     g = wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.9, 0.15])
     singles = [(0,), (1,), (2,), (3,)]
-    assert stop_round(g, singles, StopPredicate("never")) is False
-    assert stop_round(g, singles, StopPredicate("size", 1)) is False
+    assert stop_round(g, csr(singles), StopPredicate("never")) is False
+    assert stop_round(g, csr(singles), StopPredicate("size", 1)) is False
     whole = [(0, 1, 2, 3)]
-    assert stop_round(g, whole, StopPredicate("never")) is False
-    assert stop_round(g, whole, StopPredicate("dist", 0.5)) is True
-    assert stop_round(g, whole, StopPredicate("dist", 0.95)) is False
-    assert stop_round(g, [(0, 1), (2, 3)], StopPredicate("dist", 0.5)) is False
-    assert stop_round(g, whole, StopPredicate("size", 3)) is True
-    assert stop_round(g, whole, StopPredicate("size", 4)) is False
+    assert stop_round(g, csr(whole), StopPredicate("never")) is False
+    assert stop_round(g, csr(whole), StopPredicate("dist", 0.5)) is True
+    assert stop_round(g, csr(whole), StopPredicate("dist", 0.95)) is False
+    assert stop_round(g, csr([(0, 1), (2, 3)]), StopPredicate("dist", 0.5)) is False
+    assert stop_round(g, csr(whole), StopPredicate("size", 3)) is True
+    assert stop_round(g, csr(whole), StopPredicate("size", 4)) is False
     # A repeated id counts once.
-    assert stop_round(g, [(0, 0, 1, 2, 3)], StopPredicate("dist", 0.5)) is True
-    assert stop_round(g, [(0, 0, 1), (2, 3)], StopPredicate("dist", 0.5)) is False
+    assert stop_round(g, csr([(0, 0, 1, 2, 3)]), StopPredicate("dist", 0.5)) is True
+    assert stop_round(g, csr([(0, 0, 1), (2, 3)]), StopPredicate("dist", 0.5)) is False
 
 
 def test_run_slc_extreme_thresholds():
@@ -330,8 +330,8 @@ def test_stop_round_and_run_slc_on_empty_and_single_node_graphs():
     single = Graph(1, [], weights={})
     for spec, stops_empty in [("never", False), ("dist:0.5", True), ("size:1", True)]:
         pred = StopPredicate.parse(spec)
-        assert stop_round(empty, [], pred) is stops_empty
-        assert stop_round(single, [(0,)], pred) is False
+        assert stop_round(empty, csr([]), pred) is stops_empty
+        assert stop_round(single, csr([(0,)]), pred) is False
         for algo in ("hash-to-all", "hash-to-min"):
             res = run_slc(empty, algo, pred, 10)
             assert (res.rounds, res.converged, res.stopped, res.clusters) == (

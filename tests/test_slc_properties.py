@@ -6,6 +6,7 @@ against brute-force references written from the definition of a core."""
 from math import inf
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,15 @@ from mrsim import engine
 from mrsim.graph import Graph, GraphError
 from mrsim.oracle import centralized_slc
 from mrsim.schemes import HashToAll, HashToMin
-from mrsim.slc import StopPredicate, mcd, run_slc, stop_round
+from mrsim.slc import StopPredicate, mcd, run_slc, split_repair, stop_round
+
+def csr(clusters):
+    """A cluster collection as the CSR arrays (lens, ids) that stop_round
+    reads, ids as given: unsorted, repeated or outside 0..n-1 ones too."""
+    lens = np.array([len(c) for c in clusters], np.intp)
+    ids = np.array([v for c in clusters for v in c], np.intp)
+    return lens, ids
+
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None, database=None)
 # stop_round answers one bool for a whole collection, and one singleton core
@@ -216,9 +225,9 @@ def test_stop_round_matches_brute_force_reference(gc, pred):
         want = reference_stop_round(g, clusters, pred)
     except GraphError:
         with pytest.raises(GraphError):
-            stop_round(g, clusters, pred)
+            stop_round(g, csr(clusters), pred)
         return
-    assert stop_round(g, clusters, pred) is want
+    assert stop_round(g, csr(clusters), pred) is want
 
 
 @FUZZ
@@ -268,3 +277,21 @@ def test_is_core_matches_brute_force(gc):
         got = mcd(g, piece)
         assert got == sorted(core for core, _ in brute_cores(g, piece)), piece
         assert (got == [piece]) is brute_is_core(g, piece), piece
+
+
+@FUZZ
+@given(subsets(), predicates)
+def test_split_repair_matches_reference_repair(gc, pred):
+    """split_repair on a connected piece is the brute-force repair of that
+    piece alone. The reference needs every node covered, so the nodes
+    outside the piece come in as singletons and are dropped again."""
+    g, c = gc
+    pieces = bfs_pieces(g, c)
+    if len(pieces) > 1:
+        with pytest.raises(GraphError):
+            split_repair(g, c, pred)
+    for piece in pieces:
+        inside = set(piece)
+        rest = [(v,) for v in range(g.n) if v not in inside]
+        want = [r for r in reference_repair(g, [piece] + rest, pred) if r[0] in inside]
+        assert split_repair(g, piece, pred) == want, piece
