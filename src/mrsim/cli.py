@@ -70,7 +70,7 @@ def _parse_seeds(args):
             return [int(s) for s in args.seed_list.split(",")]
         except ValueError:
             raise GraphError("bad --seed-list %r" % args.seed_list) from None
-    return list(range(args.seeds))
+    return range(args.seeds)
 
 
 def _ordered(g, seed):
@@ -96,11 +96,14 @@ def cmd_gen(args):
 
 def cmd_run(args):
     g = parse_graph_spec(args.graph, weighted=args.weighted, seed=args.graph_seed)
-    seeds = _parse_seeds(args)
-    rows = []
     any_unconverged = False
     any_mismatch = False
-    for seed in seeds:
+    if args.format == "csv":
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(["algo", "seed", "n", "rounds", "converged", "n_components",
+                    "messages_total", "volume_total", "max_reducer_in",
+                    "max_total_state", "verified"])
+    for seed in _parse_seeds(args):
         gs = _ordered(g, seed)
         scheme = make_scheme(args.algo, args.tau)
         result = engine.run(gs, scheme, args.max_rounds)
@@ -111,16 +114,9 @@ def cmd_run(args):
             ok = result.components == oracle.union_find_components(gs)
             if not ok:
                 any_mismatch = True
-        rows.append((seed, result, ok))
-    if args.format == "json":
-        for seed, result, _ in rows:
+        if args.format == "json":
             print(engine.result_to_json(result, seed=seed))
-    else:
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["algo", "seed", "n", "rounds", "converged", "n_components",
-                    "messages_total", "volume_total", "max_reducer_in",
-                    "max_total_state", "verified"])
-        for seed, result, ok in rows:
+        else:
             w.writerow([
                 result.algo, seed, g.n, result.rounds, int(result.converged),
                 len(result.components) if result.components is not None else "",

@@ -7,21 +7,21 @@ of node ids. Merging is defined purely by the incoming payloads plus the
 previous state passed as an explicit argument; a node with no incoming
 messages keeps nothing implicitly.
 
-run keeps every state as CSR arrays (lens, ids): each node's cluster
-length and all clusters' ids laid end to end. A scheme's hash_arrays, the
-array form of its hash, makes the round columnar: the union and the
-metrics are done with numpy, by a sort of (key, id) codes for hash-to-min,
-both phases of hash-to-min-lb, hash-min and hgtm-alt, and by a boolean
-sparse product for hash-to-all, which ships whole clusters. A scheme whose
-merge is more than the union of what a node receives also offers
-merge_arrays(rnd, new, prev), which maps each node's union and its
-previous state, both CSR, to its new state: hash-min keeps the least id
-received, and hgtm-alt inserts it into the previous state on its label
-rounds. Without merge_arrays the union is the new state. The per-node hash
-and merge stay the spec: a wrapped scheme without hash_arrays, such as the
-benchmark's traced runs, takes _node_step, which unpacks the state for
-step and packs step's result again. Both round kinds check every state
-they are given, so a bad initial state fails alike on both.
+run keeps every state as CSR arrays (lens, ids), each node's cluster length
+and all clusters' ids laid end to end, and the last state leaves run so: as
+RunResult.final and as export's input. A scheme's hash_arrays, the array form
+of its hash, makes the round columnar: the union and the metrics are done
+with numpy, by a sort of (key, id) codes for hash-to-min, both phases of
+hash-to-min-lb, hash-min and hgtm-alt, and by a boolean sparse product for
+hash-to-all, which ships whole clusters. A scheme whose merge is more than
+the union of what a node receives also offers merge_arrays(rnd, new, prev),
+which maps each node's union and its previous state, both CSR, to its new
+state: hash-min keeps the least id received, and hgtm-alt inserts it into the
+previous state on its label rounds. Without merge_arrays the union is the new
+state. The per-node hash and merge stay the spec: a wrapped scheme without
+hash_arrays, such as the benchmark's traced runs, takes _node_step, which
+unpacks the state for step and packs step's result again. Both round kinds
+check every state they are given, so a bad initial state fails alike on both.
 
 run is the one round driver: component runs go to convergence, and
 single-linkage growth passes its stop check as run's stop test.
@@ -239,8 +239,8 @@ def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):
     replay inspection. stop, when given, is called after every round with
     the state's (lens, ids) arrays, before the convergence test; when it
     returns true the run ends with stopped=True and converged=False, and
-    export and finalize are skipped. The final state and the snapshots are
-    tuples of clusters of Python ints.
+    export and finalize are skipped. export and final get the last state as
+    held; snapshots are tuples of tuples of Python ints, as _unpack(final).
     """
     if max_rounds < 1:
         raise EngineFault("max_rounds must be at least 1")
@@ -274,10 +274,9 @@ def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):
                 converged = True
                 break
             last_checked = state
-    final = snapshots[-1] if record else _unpack(state)
-    components = scheme.export(g, final) if converged else None
+    components = scheme.export(g, state) if converged else None
     result = RunResult(algo=scheme.name, rounds=rounds, converged=converged,
-                       per_round=per_round, final=final,
+                       per_round=per_round, final=state,
                        components=components, snapshots=snapshots,
                        stopped=stopped)
     finalize = getattr(scheme, "finalize", None)

@@ -2,12 +2,11 @@
 
 Every node state is a strictly increasing tuple of node ids (a "cluster").
 Each scheme provides init_state, hash (emit (key, payload) messages), merge,
-and export (read components off a converged state). Every scheme also
-offers hash_arrays, its hash on the engine's CSR state, which engine.run
-uses. HashMin and AlternatingHGTM, whose merge is not a plain union of what
-a node receives, add merge_arrays, their merge on that union and the
-previous state. hash and merge stay the per-node spec that engine.step
-runs.
+hash_arrays, its hash on the engine's CSR state (lens, ids), which engine.run
+uses, and export, which reads components off a converged CSR state. HashMin
+and AlternatingHGTM, whose merge is not a plain union of what a node receives,
+add merge_arrays, their merge on that union and the previous state. hash and
+merge stay the per-node spec that engine.step runs.
 """
 
 from bisect import bisect_left, bisect_right
@@ -39,19 +38,26 @@ def _edge_arrays(g, dtype):
 
 
 def _labels(lens, ids):
-    """Each node's least held id, its label; 0 where it holds none."""
+    """Each node's least held id, its label, or itself where it holds none."""
     held = lens > 0
-    label = np.zeros(lens.size, ids.dtype)
+    label = np.arange(lens.size, dtype=ids.dtype)
     label[held] = ids[(np.cumsum(lens) - lens)[held]]
     return label
 
 
+def _grouped(nodes, label):
+    """The increasing nodes grouped by their labels, as sorted tuples."""
+    sizes = np.bincount(label)
+    order = np.argsort(label, kind="stable")
+    return sorted(engine._unpack((sizes[sizes > 0], nodes[order])))
+
+
 def _export_min_labeled(g, state):
-    """Clusters whose minimum is their holder; the terminal shape of the
-    min-propagating schemes."""
-    out = [st for v, st in enumerate(state) if st and st[0] == v]
-    out.sort()
-    return out
+    """The CSR state's clusters whose minimum is their holder; the terminal
+    shape of the min-propagating schemes."""
+    lens, ids = state
+    own = (lens > 0) & (_labels(lens, ids) == np.arange(lens.size))
+    return sorted(engine._unpack((lens[own], ids[np.repeat(own, lens)])))
 
 
 class HashMin:
@@ -99,11 +105,8 @@ class HashMin:
         return got.astype(np.intp), _labels(*new)[got]
 
     def export(self, g, state):
-        groups = {}
-        for v, st in enumerate(state):
-            if st:
-                groups.setdefault(st[0], []).append(v)
-        return sorted(map(tuple, groups.values()))
+        held = np.flatnonzero(state[0] > 0)
+        return _grouped(held, _labels(*state)[held])
 
 
 class HashToAll:
@@ -338,7 +341,7 @@ class LbHashToMin(HashToMin):
         neighbors, and every other node nothing. At the fixpoint each label
         holds its component's minimum first, and every node joins the
         component of its label."""
-        labels = [st[0] if st else v for v, st in enumerate(result.final)]
+        labels = _labels(*result.final).tolist()
         seed = [[] for _ in range(g.n)]
         for v, a in enumerate(g.adj):
             s = seed[labels[v]]
@@ -346,9 +349,7 @@ class LbHashToMin(HashToMin):
             s.extend(map(labels.__getitem__, a))
         phase2 = engine.run(g, HashToMin(), max_rounds, initial_state=[
             tuple(sorted(set(s))) for s in seed])
-        groups = {}
-        for v, lab in enumerate(labels):
-            groups.setdefault(phase2.final[lab][0], []).append(v)
+        top = _labels(*phase2.final)[labels]
         shifted = [replace(m, round=m.round + result.rounds)
                    for m in phase2.per_round]
         return replace(
@@ -356,7 +357,7 @@ class LbHashToMin(HashToMin):
             rounds=result.rounds + phase2.rounds,
             converged=result.converged and phase2.converged,
             per_round=result.per_round + shifted,
-            components=sorted(map(tuple, groups.values())) if phase2.converged else None,
+            components=_grouped(np.arange(g.n), top) if phase2.converged else None,
             phase_split=result.rounds,
         )
 

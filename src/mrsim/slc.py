@@ -288,7 +288,7 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
     cache = {} if cache is None else cache
     res = engine.run(g, _SLC_SCHEMES[algo](), max_rounds,
                      stop=lambda state: stop_round(g, state, pred, cache))
-    clusters = _clusters(*_grown_cores(g, engine._pack(res.final, g.n), cache, pred))
+    clusters = _clusters(*_grown_cores(g, res.final, cache, pred))
     return SlcResult(algo=algo, stop=str(pred), rounds=res.rounds,
                      converged=res.converged or res.stopped, stopped=res.stopped,
                      per_round=res.per_round, clusters=clusters)

@@ -4,10 +4,18 @@ import csv
 import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mrsim import engine
 from mrsim.cli import main, parse_graph_spec
+from mrsim.engine import EngineFault
 from mrsim.graph import GraphError, diameter, gen_random, load_edge_list
 from mrsim.oracle import union_find_components
 
@@ -84,6 +92,30 @@ def test_run_verify_mismatch_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "run", "--graph", "path:8", "--verify")
     assert code == 3
     assert "differ" in err
+
+
+def test_run_writes_each_row_as_its_run_ends(capsys):
+    """--seeds counts past any list: the seeds are a range and each row is
+    written as its run ends, so a fault in the third run leaves two rows
+    printed, byte for byte those of --seeds 2, and exits 1."""
+    real_run = engine.run
+    calls = []
+
+    def third_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise EngineFault("third run")
+        return real_run(*args, **kwargs)
+    for fmt in ("json", "csv"):
+        code, want, _ = run_cli(capsys, "run", "--graph", "path:8", "--seeds", "2",
+                                "--format", fmt)
+        assert code == 0
+        calls.clear()
+        with mock.patch.object(engine, "run", third_fails):
+            code, out, err = run_cli(capsys, "run", "--graph", "path:8", "--seeds",
+                                     "99999999999999999999", "--format", fmt)
+        assert (code, out, err) == (1, want, "error: third run\n")
+        assert len(out.splitlines()) == (2 if fmt == "json" else 3)
 
 
 def test_usage_and_input_errors(capsys):
@@ -190,3 +222,138 @@ def test_slc_csv_and_mismatch(capsys, monkeypatch):
 def test_slc_bad_stop_spec(capsys):
     assert run_cli(capsys, "slc", "--graph", "path:8",
                    "--stop", "blah:3")[0] == 1
+
+
+# Counts at the edges of C and numpy integer widths, and just inside them.
+COUNTS = ("1", "2", "3", str(2 ** 31 - 1), str(2 ** 31), str(2 ** 63 - 1), str(2 ** 63),
+          str(10 ** 20))
+NOT_COUNTS = ("0", "-1", str(-2 ** 63), "", "x", "1.5")
+SEEDS = COUNTS + ("0", "-1", str(-2 ** 31), str(-2 ** 63))
+# Graph sizes stay at most 64: a huge size builds a huge graph.
+SIZES = ("1", "2", "3", "5", "8", "13", "31", "64")
+NOT_SIZES = ("0", "-1", "", "x", "1e3")
+FAMILIES = ("path", "tree", "star")
+
+
+def _specs(sizes, probs):
+    """family:N and random:N:P specs."""
+    family = st.tuples(st.sampled_from(FAMILIES), st.sampled_from(sizes)).map(":".join)
+    rand = st.tuples(st.sampled_from(SIZES), st.sampled_from(probs)).map(
+        lambda t: "random:%s:%s" % t)
+    return family | rand
+
+
+# Each option's good and bad values.
+OPTIONS = {
+    "--graph": (_specs(SIZES, ["0", "0.05", "0.1", "0.5", "1"]) | st.just("file:EDGES"),
+                _specs(NOT_SIZES, ["-0.1", "1.5", "nan", "inf", "x"])
+                | st.sampled_from(["path", "file:", "file:NOFILE", "blob:3", "random:8",
+                                    ""])),
+    "--graph-seed": (st.sampled_from(SEEDS), st.sampled_from(["", "x", "1.5"])),
+    "--seeds": (st.sampled_from(COUNTS), st.sampled_from(NOT_COUNTS)),
+    "--seed-list": (st.lists(st.sampled_from(SEEDS), min_size=1, max_size=3).map(",".join),
+                    st.sampled_from(["", "x", "1,,2", "1.5"])),
+    "--max-rounds": (st.sampled_from(COUNTS), st.sampled_from(NOT_COUNTS)),
+    "--tau": (st.sampled_from(["1", "2", "5", "inf", "1e400", str(2 ** 63)]),
+              st.sampled_from(["-inf", "nan", "0", "0.5", "2.5", "x", "-1"])),
+    "--stop": (st.sampled_from(["never", "size:1", "size:5", "size:20", "dist:0.5",
+                                "dist:1", "size:99999999999999999999", "dist:1e-300"]),
+               st.sampled_from(["size:0", "size:-1", "size:", "size:x", "dist:0",
+                                "dist:1.5", "dist:nan", "dist:inf", "dist:x", "blah:3",
+                                ""])),
+    "--format": (st.sampled_from(["json", "csv"]), st.just("xml")),
+    "--family": (st.sampled_from(["path", "tree"]), st.just("star")),
+    "--sizes": (st.lists(st.sampled_from(SIZES), min_size=1, max_size=3).map(",".join),
+                st.lists(st.sampled_from(SIZES + NOT_SIZES), max_size=3).map(
+                    lambda s: ",".join(s + ["x"]))),
+    "--seeds-per-size": (st.sampled_from(COUNTS), st.sampled_from(NOT_COUNTS)),
+    "--out": (st.just("OUT"), st.just("NOFILE/x")),
+}
+ALGOS = ("hash-min", "hash-to-all", "hash-to-min", "hgtm-alt", "hash-to-min-lb")
+# Per command: the options it needs, the ones it may take, and its algos.
+COMMANDS = {
+    "gen": (["--graph"], ["--graph-seed", "--out", "--weighted"], ()),
+    "run": (["--graph", "--algo"],
+            ["--graph-seed", "--seeds", "--max-rounds", "--format", "--verify",
+             "--weighted"],
+            ALGOS),
+    "sweep": (["--family", "--sizes", "--algo"], ["--seeds-per-size", "--max-rounds"],
+              ALGOS),
+    "slc": (["--graph", "--algo", "--stop"],
+            ["--graph-seed", "--max-rounds", "--format", "--verify"],
+            ("hash-to-all", "hash-to-min")),
+}
+# Edge-list ids are compacted, so boundary ids still make a small graph.
+_edge_ids = st.one_of(st.integers(0, 12), st.sampled_from([2 ** 31 - 1, 2 ** 63, 10 ** 20]))
+
+
+@st.composite
+def edge_list_text(draw):
+    """A well-formed edge list, weighted or not, or one with a bad line in it."""
+    pairs = draw(st.lists(st.tuples(_edge_ids, _edge_ids).filter(lambda e: e[0] != e[1]),
+                          max_size=12, unique_by=frozenset))
+    weighted = draw(st.booleans())
+    lines = ["%d %d" % e + (" %r" % ((i + 1) / 16) if weighted else "")
+             for i, e in enumerate(pairs)]
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(["# note", "", "1", "a b", "1 2 3 4", "-1 2", "3 3",
+                                    "0 1 0", "0 1 1.5", "0 1 nan", "0 1 x", "\t5\t6"]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return "\n".join(lines)
+
+
+@st.composite
+def cli_argv(draw):
+    """A command line with good values, or with one bad value in it, and the
+    edge-list text that file:EDGES reads."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    needed, optional, algos = COMMANDS[command]
+    flags = needed + [f for f in optional if draw(st.booleans())]
+    algo = draw(st.sampled_from(algos)) if algos else None
+    if algo == "hash-to-min-lb" and draw(st.booleans()):
+        flags.append("--tau")
+    if command == "run" and "--seeds" not in flags and draw(st.booleans()):
+        flags.append("--seed-list")
+    broken = draw(st.sampled_from(flags)) if draw(st.booleans()) else None
+    argv = [command]
+    for flag in flags:
+        if flag in ("--weighted", "--verify"):
+            argv.append(flag)
+        elif flag == "--algo":
+            argv += [flag, "bogus" if broken == flag else algo]
+        else:
+            good, bad = OPTIONS[flag]
+            argv += [flag, draw(bad if broken == flag else good)]
+    return argv, draw(edge_list_text())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(cli_argv())
+def test_cli_fuzz_ends_in_a_documented_exit_code(case):
+    """Every generated command line ends in exit 0, 1, 2 or 3 with no
+    exception and no traceback. engine.run raises EngineFault after 12
+    calls in one command, so a huge --seeds or --seeds-per-size ends in
+    exit 1 instead of running for ever."""
+    argv, text = case
+    real_run = engine.run
+    calls = []
+
+    def budgeted(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 12:
+            raise EngineFault("run budget spent")
+        return real_run(*args, **kwargs)
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "edges.txt").write_text(text)
+        names = {"EDGES": "edges.txt", "OUT": "out.txt", "NOFILE": "none"}
+        for key, name in names.items():
+            argv = [a.replace(key, str(Path(tmp) / name)) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(engine, "run", budgeted), redirect_stdout(out), \
+                redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

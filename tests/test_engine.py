@@ -124,7 +124,7 @@ def test_snapshots_one_per_round_plus_initial():
     assert len(res.snapshots) == res.rounds + 1
     assert res.snapshots[0] == ((0, 1), (0, 1, 2), (1, 2, 3), (2, 3, 4),
                                 (3, 4))
-    assert res.snapshots[-1] == res.final
+    assert res.snapshots[-1] == engine._unpack(res.final)
     plain = run(g, HashToMin(), 50)
     assert plain.snapshots is None
 
@@ -182,7 +182,7 @@ def test_stop_ends_the_run_before_export_and_finalize():
         assert (res.rounds, res.stopped, res.converged) == (k, True, False)
         assert res.components is None and res.phase_split is None
         assert res.per_round == full.per_round[:k]
-        assert res.final == full.snapshots[k]
+        assert engine._unpack(res.final) == full.snapshots[k]
         assert [engine._unpack(st) for st in stop.seen] == full.snapshots[1:k + 1]
     res = run(g, LbHashToMin(2), 100, stop=lambda st: False)
     assert not res.stopped
