@@ -12,16 +12,20 @@ and all clusters' ids laid end to end, and the last state leaves run so: as
 RunResult.final and as export's input. A scheme's hash_arrays, the array form
 of its hash, makes the round columnar: the union and the metrics are done
 with numpy, by a sort of (key, id) codes for hash-to-min, both phases of
-hash-to-min-lb, hash-min and hgtm-alt, and by a boolean sparse product for
-hash-to-all, which ships whole clusters. A scheme whose merge is more than
-the union of what a node receives also offers merge_arrays(rnd, new, prev),
-which maps each node's union and its previous state, both CSR, to its new
-state: hash-min keeps the least id received, and hgtm-alt inserts it into the
-previous state on its label rounds. Without merge_arrays the union is the new
-state. The per-node hash and merge stay the spec: a wrapped scheme without
-hash_arrays, such as the benchmark's traced runs, takes _node_step, which
-unpacks the state for step and packs step's result again. Both round kinds
-check every state they are given, so a bad initial state fails alike on both.
+hash-to-min-lb, hash-min and hgtm-alt. hash-to-all ships whole clusters,
+and its union is either a bitset OR, each cluster as ceil(n / 64) uint64
+words, or a boolean sparse product: the bitset when its n rows fit in the
+held ids, the product otherwise, since on a large graph of small clusters
+the bitset's words outweigh the product's ids. A scheme whose merge is
+more than the union of what a node receives also offers
+merge_arrays(rnd, new, prev), which maps each node's union and its previous
+state, both CSR, to its new state: hash-min keeps the least id received, and
+hgtm-alt inserts it into the previous state on its label rounds. Without
+merge_arrays the union is the new state. The per-node hash and merge stay
+the spec: a wrapped scheme without hash_arrays, such as the benchmark's
+traced runs, takes _node_step, which unpacks the state for step and packs
+step's result again. Both round kinds check every state they are given, so
+a bad initial state fails alike on both.
 
 run is the one round driver: component runs go to convergence, and
 single-linkage growth passes its stop check as run's stop test.
@@ -185,12 +189,7 @@ def _columnar_step(g, scheme, state, rnd):
         code += vals
         del keys, vals
         code.sort()
-        keep = np.empty(code.size, bool)
-        if code.size:
-            keep[0] = True
-            np.not_equal(code[1:], code[:-1], out=keep[1:])
-        code = code[keep]
-        del keep
+        code = code[_firsts(code)]
         new = np.bincount(code // n, minlength=n), code % n
         del code
     merge_arrays = getattr(scheme, "merge_arrays", None)
@@ -201,8 +200,29 @@ def _columnar_step(g, scheme, state, rnd):
 
 def _whole_cluster_union(n, lens, ids, keys):
     """The union, its id volume and its peak reducer input when every key
-    receives its holder's whole cluster: with the state as a boolean matrix
-    A (A[v, x] when v holds x) and K the same for the keys, the new
+    receives its holder's whole cluster. Each key receives |C| ids from
+    every cluster C that sends to it, so the volume is the sum of |C|^2.
+
+    _bitset_union and _product_union give the same arrays. The bitset pays
+    about W = ceil(n / 64) words per held id and the product about |C| ids.
+    The bitset is taken when its n * W words of rows are at most ids.size,
+    and the product otherwise. That also bounds the bitset's W * ids.size
+    by the volume, since sum |C|^2 >= (sum |C|)^2 / n >= W * sum |C|. The
+    product cannot go: on a large graph of small clusters, W words per held
+    id outweigh |C|, and at n = 0 there are no words at all."""
+    got = np.repeat(lens, lens)
+    volume = int(got.sum())
+    max_in = int(np.bincount(keys, weights=got, minlength=n).max()) if n else 0
+    del got
+    words = -(-n // 64)
+    if 0 < n * words <= ids.size:
+        return _bitset_union(n, lens, ids, keys), volume, max_in
+    return _product_union(n, lens, ids, keys), volume, max_in
+
+
+def _product_union(n, lens, ids, keys):
+    """The union as a boolean sparse product: with the state as a boolean
+    matrix A (A[v, x] when v holds x) and K the same for the keys, the new
     clusters are the rows of K^T A. No (key, id) pair is built, so memory
     stays near the sum of the cluster sizes, not of their squares. The data
     is bool so that a sum never wraps to 0."""
@@ -213,11 +233,56 @@ def _whole_cluster_union(n, lens, ids, keys):
     sent = sparse.csr_array((ones, keys, indptr), shape=(n, n))
     union = (sent.T @ held).tocsr()
     union.sort_indices()
-    new = np.diff(union.indptr).astype(np.intp), union.indices.astype(ids.dtype)
-    # Each key receives |C| ids from every cluster C that sends to it.
-    got = np.repeat(lens, lens)
-    max_in = int(np.bincount(keys, weights=got, minlength=n).max()) if n else 0
-    return new, int(got.sum()), max_in
+    return np.diff(union.indptr).astype(np.intp), union.indices.astype(ids.dtype)
+
+
+def _bitset_union(n, lens, ids, keys):
+    """The union with each cluster held as a row of ceil(n / 64) uint64
+    words, bit x of a row set when the cluster holds x. The sends are
+    sorted by key and each key's senders' rows ORed together. The senders'
+    rows are gathered at most ids.size words at a time, and the union is
+    unpacked at most 8 * ids.size bytes at a time, so no temporary grows
+    with the id volume."""
+    words = -(-n // 64)
+    rows = np.repeat(np.arange(n), lens)
+    # One word per (row, ids // 64); a cluster's ids increase, so each
+    # word's bits lie next to each other.
+    slot = rows * words + ids // 64
+    bit = np.left_shift(np.uint64(1), (ids % 64).astype(np.uint64))
+    head = np.flatnonzero(_firsts(slot))
+    bits = np.zeros((n, words), np.uint64)
+    bits.flat[slot[head]] = np.bitwise_or.reduceat(bit, head)
+    del slot, bit, head
+    order = np.argsort(keys)
+    senders = rows[order]
+    keys = keys[order]
+    del rows, order
+    acc = np.zeros((n, words), np.uint64)
+    step = max(1, ids.size // words)
+    for a in range(0, keys.size, step):
+        k = keys[a:a + step]
+        head = np.flatnonzero(_firsts(k))
+        acc[k[head]] |= np.bitwise_or.reduceat(bits[senders[a:a + step]], head)
+    del bits, senders, keys
+    new_lens = []
+    new_ids = []
+    step = max(1, ids.size // (8 * words))
+    for a in range(0, n, step):
+        block = acc[a:a + step].astype("<u8", copy=False).view(np.uint8)
+        held = np.unpackbits(block, axis=1, bitorder="little")
+        new_lens.append(held.sum(axis=1, dtype=np.intp))
+        new_ids.append(np.nonzero(held)[1].astype(ids.dtype))
+        del block, held
+    return np.concatenate(new_lens), np.concatenate(new_ids)
+
+
+def _firsts(a):
+    """Mask of the positions where a sorted array starts a new value."""
+    first = np.empty(a.size, bool)
+    if a.size:
+        first[0] = True
+        np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
 
 
 def _node_step(g, scheme, state, rnd):

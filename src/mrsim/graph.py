@@ -97,9 +97,16 @@ class Graph:
             self.n, self.m, ", weighted" if self.weights else "")
 
 
+# The engine codes a (key, id) pair as key * n + id in an int64.
+MAX_NODES = math.isqrt(2 ** 63 - 1)
+
+
 def _require_positive(n):
     if n < 1:
         raise GraphError("need at least one node, got %d" % n)
+    if n > MAX_NODES:
+        raise GraphError("node count %d above %d, where n * n overflows int64"
+                         % (n, MAX_NODES))
 
 
 def _unique_weights(rng, count):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mrsim import engine
 from mrsim.cli import main, parse_graph_spec
 from mrsim.engine import EngineFault
-from mrsim.graph import GraphError, diameter, gen_random, load_edge_list
+from mrsim.graph import MAX_NODES, GraphError, diameter, gen_random, load_edge_list
 from mrsim.oracle import union_find_components
 
 
@@ -151,6 +151,25 @@ def test_usage_and_input_errors(capsys):
         assert "error:" in err and "Traceback" not in err
 
 
+def test_node_counts_past_the_int64_codes_exit_1(capsys):
+    """The engine codes a (key, id) pair as key * n + id in an int64, so a
+    size with n * n >= 2^63 is refused before any edge is built; below that
+    only memory limits a size, so no test builds a graph near the bound."""
+    assert MAX_NODES == 3037000499
+    for n in (MAX_NODES + 1, 2 ** 63, 10 ** 20):
+        for argv in (["run", "--graph", "path:%d" % n, "--algo", "hash-min"],
+                     ["run", "--graph", "tree:%d" % n, "--algo", "hash-to-all"],
+                     ["slc", "--graph", "star:%d" % n, "--stop", "never"],
+                     ["gen", "--graph", "random:%d:0.5" % n],
+                     ["sweep", "--family", "path", "--sizes", "8,%d" % n,
+                      "--algo", "hash-min"],
+                     ["sweep", "--family", "tree", "--sizes", str(n), "--algo", "hash-min"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == "", argv
+            assert err == "error: node count %d above %d, where n * n overflows int64\n" % (
+                n, MAX_NODES)
+
+
 def test_gen_roundtrip_through_file(capsys, tmp_path):
     path = tmp_path / "g.txt"
     code, out, _ = run_cli(capsys, "gen", "--graph", "random:40:0.2",
@@ -231,7 +250,7 @@ NOT_COUNTS = ("0", "-1", str(-2 ** 63), "", "x", "1.5")
 SEEDS = COUNTS + ("0", "-1", str(-2 ** 31), str(-2 ** 63))
 # Graph sizes stay at most 64: a huge size builds a huge graph.
 SIZES = ("1", "2", "3", "5", "8", "13", "31", "64")
-NOT_SIZES = ("0", "-1", "", "x", "1e3")
+NOT_SIZES = ("0", "-1", "", "x", "1e3", str(MAX_NODES + 1), str(10 ** 20))
 FAMILIES = ("path", "tree", "star")
 
 

@@ -2,20 +2,30 @@
 
 run takes a CSR path for a scheme with hash_arrays: hash-to-min,
 hash-to-min-lb, hash-min and hgtm-alt on the sort union (the last two
-through their merge_arrays), hash-to-all on the sparse product. Setting
-hash_arrays to None on an instance hides it, so the same scheme runs
-through step, hash and merge; the two must agree byte for byte, fail the
-same contract checks and hand back only Python ints. The same holds for
-run_slc growth.
+through their merge_arrays), hash-to-all on the bitset union or the sparse
+product. Setting hash_arrays to None on an instance hides it, so the same
+scheme runs through step, hash and merge; the two must agree byte for
+byte, fail the same contract checks and hand back only Python ints. The
+same holds for run_slc growth.
+
+hash-to-all's two unions must give the same arrays. The bitset, ceil(n / 64)
+uint64 words per cluster, is taken when its n rows fit in the held ids; the
+product stays for large graphs of small clusters, where the bitset's words
+outweigh the clusters' ids, and for n = 0. The tests below check the two
+against each other and a set reference, the rule, its int64 width and the
+bitset's memory against the product's.
 """
 
 import json
 import tracemalloc
+from itertools import islice
 from math import inf
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrsim import engine, schemes, slc
 from mrsim.engine import EngineFault, RoundMetrics, merge_sorted_dedup, result_to_json, run
@@ -292,6 +302,134 @@ def test_gossip_round_memory_stays_near_the_state():
         tracemalloc.stop()
     assert res.per_round[-1].node_id_volume == 255 ** 3
     assert peak < 16 * 2 ** 20
+
+
+def _reference_union(n, lens, ids, keys):
+    """The whole-cluster union, its id volume and peak intake, from sets."""
+    it = iter(ids.tolist())
+    held = [list(islice(it, k)) for k in lens.tolist()]
+    union = [set() for _ in range(n)]
+    got = [0] * n
+    sent = iter(keys.tolist())
+    for cluster in held:
+        for key in islice(sent, len(cluster)):
+            union[key].update(cluster)
+            got[key] += len(cluster)
+    new = [sorted(c) for c in union]
+    return new, sum(got), max(got, default=0)
+
+
+@st.composite
+def whole_cluster_sends(draw):
+    """A CSR state on n nodes, rows empty or up to max_len ids, and the key
+    each held id sends its cluster to: the id itself (hash-to-all) or any
+    node."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 127, 128, 129]) | st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    max_len = draw(st.sampled_from([0, 1, 3, 70, n]))
+    empty = draw(st.sampled_from([0.0, 0.5, 0.95]))
+    lens = rng.integers(0, min(max_len, n) + 1, n) * (rng.random(n) >= empty)
+    ids = np.concatenate([np.sort(rng.choice(n, k, replace=False)) for k in lens]
+                         + [np.empty(0, int)]).astype(np.int32)
+    keys = ids.copy() if draw(st.booleans()) else rng.integers(0, n, ids.size, np.int32)
+    return n, lens.astype(np.intp), ids, keys
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(whole_cluster_sends())
+def test_bitset_union_matches_sparse_product(sends):
+    n, lens, ids, keys = sends
+    product = engine._product_union(n, lens, ids, keys)
+    bitset = engine._bitset_union(n, lens, ids, keys)
+    for a, b in zip(product, bitset):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    new, volume, max_in = engine._whole_cluster_union(n, lens, ids, keys)
+    want, want_volume, want_max_in = _reference_union(n, lens, ids, keys)
+    assert engine._unpack(new) == tuple(map(tuple, want))
+    assert new[1].dtype == np.int32 and (volume, max_in) == (want_volume, want_max_in)
+
+
+def _balls(n, radius):
+    """Every node of gen_path(n) holding the ids within radius of it."""
+    v = np.arange(n)
+    lo, hi = np.maximum(v - radius, 0), np.minimum(v + radius + 1, n)
+    ids = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+    return (hi - lo).astype(np.intp), ids.astype(np.int32 if n * n < 2 ** 31 else np.int64)
+
+
+@pytest.fixture
+def unions(monkeypatch):
+    """Records which union each _whole_cluster_union call takes."""
+    taken = []
+    for name in ("_bitset_union", "_product_union"):
+        inner = getattr(engine, name)
+        monkeypatch.setattr(engine, name,
+                            lambda *a, name=name, inner=inner: taken.append(name) or inner(*a))
+    return taken
+
+
+def test_union_rule_reads_n_and_the_state(unions):
+    """The bitset pays ceil(n / 64) words a held id and the product |C| ids,
+    so small clusters on a large graph keep the product; n = 0 does too."""
+    # At radius 0 on 64 nodes the 64 held ids just hold the 64 one-word rows.
+    cases = [(64, 0, "_bitset_union"), (64, 5, "_bitset_union"),
+             (4096, 32, "_bitset_union"), (4096, 1, "_product_union"),
+             (4096, 31, "_product_union"), (300, 0, "_product_union")]
+    for n, radius, want in cases:
+        lens, ids = _balls(n, radius)
+        engine._whole_cluster_union(n, lens, ids, ids.copy())
+        assert unions.pop() == want, (n, radius)
+    # A star's first round ships over n^2 ids, but its 3n - 2 held ids are
+    # fewer than the 64n words of its rows.
+    n = 4096
+    lens = np.full(n, 2, np.intp)
+    lens[0] = n
+    ids = np.concatenate([np.arange(n), np.stack([np.zeros(n - 1, int),
+                                                  np.arange(1, n)], 1).ravel()])
+    ids = ids.astype(np.int32)
+    assert engine._whole_cluster_union(n, lens, ids, ids.copy())[1] == n * n + 4 * (n - 1)
+    empty = np.empty(0, np.int32)
+    assert engine._whole_cluster_union(0, np.empty(0, np.intp), empty, empty)[1:] == (0, 0)
+    assert unions == ["_product_union"] * 2
+
+
+def test_int64_width_takes_the_product(unions):
+    """At n >= 46341 ids are int64; a bitset of this state alone would be
+    n * ceil(n / 64) words, 256 MiB."""
+    n = 46341
+    lens = np.zeros(n, np.intp)
+    lens[[0, 7, n - 1]] = [2, 3, 1]
+    ids = np.array([0, n - 1, 1, 7, n - 2, n - 1], np.int64)
+    for keys in (ids.copy(), np.array([n - 1, 5, 5, 0, n - 1, 3], np.int64)):
+        new, volume, max_in = engine._whole_cluster_union(n, lens, ids, keys)
+        want, want_volume, want_max_in = _reference_union(n, lens, ids, keys)
+        assert engine._unpack(new) == tuple(map(tuple, want))
+        assert new[1].dtype == np.int64 and (volume, max_in) == (want_volume, want_max_in)
+    assert unions == ["_product_union"] * 2
+
+
+def test_bitset_round_memory_stays_within_the_products(unions, monkeypatch):
+    """One round on gen_path(4096) holding radius-32 balls takes the bitset.
+    Its senders' rows gathered at once would be 265184 * 64 words, about
+    130 MiB; chunked, it peaks no higher than the sparse product on the
+    same state."""
+    n = 4096
+    lens, ids = _balls(n, 32)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            out = engine._whole_cluster_union(n, lens, ids, ids.copy())
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    bitset, bitset_peak = peak()
+    monkeypatch.setattr(engine, "_bitset_union", engine._product_union)
+    product, product_peak = peak()
+    assert unions == ["_bitset_union", "_product_union"]
+    assert all(np.array_equal(a, b) for a, b in zip(bitset[0], product[0]))
+    assert bitset[1:] == product[1:]
+    assert bitset_peak <= product_peak
 
 
 def test_run_slc_growth_columnar_matches_per_node(monkeypatch, columnar_rounds):
