@@ -8,24 +8,30 @@ previous state passed as an explicit argument; a node with no incoming
 messages keeps nothing implicitly.
 
 run keeps every state as CSR arrays (lens, ids), each node's cluster length
-and all clusters' ids laid end to end, and the last state leaves run so: as
-RunResult.final and as export's input. A scheme's hash_arrays, the array form
-of its hash, makes the round columnar: the union and the metrics are done
-with numpy, by a sort of (key, id) codes for hash-to-min, both phases of
-hash-to-min-lb, hash-min and hgtm-alt. hash-to-all ships whole clusters,
-and its union is either a bitset OR, each cluster as ceil(n / 64) uint64
-words, or a boolean sparse product: the bitset when its n rows fit in the
-held ids, the product otherwise, since on a large graph of small clusters
-the bitset's words outweigh the product's ids. A scheme whose merge is
-more than the union of what a node receives also offers
-merge_arrays(rnd, new, prev), which maps each node's union and its previous
-state, both CSR, to its new state: hash-min keeps the least id received, and
-hgtm-alt inserts it into the previous state on its label rounds. Without
-merge_arrays the union is the new state. The per-node hash and merge stay
-the spec: a wrapped scheme without hash_arrays, such as the benchmark's
-traced runs, takes _node_step, which unpacks the state for step and packs
-step's result again. Both round kinds check every state they are given, so
-a bad initial state fails alike on both.
+and all clusters' ids laid end to end, from the start state to the last,
+which leaves run so: as RunResult.final and as export's input. A scheme's
+init_arrays gives its start state in that form; run packs a list of
+clusters (an initial_state list, or init_state of a scheme without
+init_arrays) with _pack. A scheme's hash_arrays, the array form of its
+hash, makes the round columnar: the union and the metrics are done with
+numpy. _pair_union, a sort of (key, id) codes, is the one pair union: the
+round's union for hash-to-min, both phases of hash-to-min-lb, hash-min and
+hgtm-alt, and also how the schemes build their start states, lb its
+phase-2 state and hgtm-alt its label-round merge. hash-to-all ships whole
+clusters, and its union is either a bitset OR, each cluster as
+ceil(n / 64) uint64 words, or a boolean sparse product: the bitset when
+its n rows fit in the held ids, the product otherwise, since on a large
+graph of small clusters the bitset's words outweigh the product's ids. A
+scheme whose merge is more than the union of what a node receives also
+offers merge_arrays(rnd, new, prev), which maps each node's union and its
+previous state, both CSR, to its new state: hash-min keeps the least id
+received, and hgtm-alt inserts it into the previous state on its label
+rounds. Without merge_arrays the union is the new state. The per-node hash
+and merge stay the spec: a wrapped scheme without hash_arrays, such as the
+benchmark's traced runs, takes _node_step, which unpacks the state for
+step and packs step's result again. Such a wrapper copies init_state and
+not init_arrays, so its start state is packed too. Both round kinds check
+every state they are given, so a bad initial state fails alike on both.
 
 run is the one round driver: component runs go to convergence, and
 single-linkage growth passes its stop check as run's stop test.
@@ -121,16 +127,46 @@ def step(g, scheme, state, rnd):
     return new_state, RoundMetrics(rnd, messages, volume, max_in, total)
 
 
+_OUTSIDE = "a state holds an id outside 0..%d"
+_COVER = "initial state must cover all %d nodes"
+
+
+def _id_dtype(n):
+    """The dtype of a CSR state's ids on n nodes: int32 while every key * n
+    + id code fits in it, int64 otherwise."""
+    return np.int32 if n * n < 2 ** 31 else np.int64
+
+
 def _pack(state, n):
-    """A list of clusters as CSR arrays (lens, ids). ids are int32 while
-    every key * n + id code fits in it, int64 otherwise."""
-    dtype = np.int32 if n * n < 2 ** 31 else np.int64
+    """A list of clusters as CSR arrays (lens, ids), ids of _id_dtype(n)."""
     lens = np.fromiter(map(len, state), np.intp, n)
     try:
-        ids = np.fromiter(chain.from_iterable(state), dtype, int(lens.sum()))
+        ids = np.fromiter(chain.from_iterable(state), _id_dtype(n), int(lens.sum()))
     except OverflowError:
-        raise EngineFault("a state holds an id outside 0..%d" % (n - 1)) from None
+        raise EngineFault(_OUTSIDE % (n - 1)) from None
     return lens, ids
+
+
+def _is_csr(state):
+    """A tuple of two numpy arrays is a CSR state (lens, ids), the form
+    RunResult.final has; anything else is a list of clusters."""
+    return (isinstance(state, tuple) and len(state) == 2
+            and all(isinstance(a, np.ndarray) for a in state))
+
+
+def _cast(state, n):
+    """A CSR initial state (lens, ids) with lens of intp and ids of
+    _id_dtype(n). It fails as _pack does on an id the cast would change."""
+    lens, ids = state
+    if lens.size != n:
+        raise EngineFault(_COVER % n)
+    if (lens < 0).any() or lens.sum() != ids.size:
+        raise EngineFault("initial state's lens must be at least 0 and sum to its %d ids"
+                          % ids.size)
+    cast = ids.astype(_id_dtype(n), copy=False)
+    if cast is not ids and not np.array_equal(cast, ids):
+        raise EngineFault(_OUTSIDE % (n - 1))
+    return lens.astype(np.intp, copy=False), cast
 
 
 def _unpack(state):
@@ -178,24 +214,29 @@ def _columnar_step(g, scheme, state, rnd):
         new, volume, max_in = _whole_cluster_union(n, lens, ids, keys)
     else:
         _check_range(rnd, n, "sent id", vals)
-        # The set union: sort and drop repeats (np.unique, hash-based in
-        # numpy 2.4, took over 20 times as long on these arrays). The
-        # temporaries are freed or reused as soon as they are spent, since
-        # the pairs outnumber the held ids.
         max_in = int(np.bincount(keys, minlength=n).max()) if n else 0
         volume = keys.size
-        code = keys
-        code *= n
-        code += vals
-        del keys, vals
-        code.sort()
-        code = code[_firsts(code)]
-        new = np.bincount(code // n, minlength=n), code % n
-        del code
+        new = _pair_union(n, keys, vals)
     merge_arrays = getattr(scheme, "merge_arrays", None)
     if merge_arrays is not None:
         new = merge_arrays(rnd, new, state)
     return new, RoundMetrics(rnd, int(messages), volume, max_in, new[1].size)
+
+
+def _pair_union(n, keys, vals):
+    """The set of vals sent to each key, as CSR (lens, ids): the key * n +
+    val codes sorted with repeats dropped (np.unique, hash-based in numpy
+    2.4, took over 20 times as long on these arrays). keys, an array of its
+    own, is overwritten with the codes; every key and val is in 0..n-1.
+    The temporaries are freed or reused as soon as they are spent, since
+    the pairs can outnumber the ids they leave."""
+    code = keys
+    code *= n
+    code += vals
+    del keys, vals
+    code.sort()
+    code = code[_firsts(code)]
+    return np.bincount(code // n, minlength=n), code % n
 
 
 def _whole_cluster_union(n, lens, ids, keys):
@@ -298,7 +339,11 @@ def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):
 
     Convergence is state equality checked every scheme.check_every rounds
     (the confirming round is counted). The state is held as CSR arrays
-    (lens, ids) throughout: a scheme with hash_arrays (every scheme in
+    (lens, ids) throughout. It starts as initial_state when given: a CSR
+    pair, the form RunResult.final has, whose ids are cast to _id_dtype(n),
+    or a list of clusters, packed. Otherwise it starts as
+    scheme.init_arrays(g), or as scheme.init_state(g) packed for a scheme
+    without init_arrays. A scheme with hash_arrays (every scheme in
     mrsim.schemes) runs each round through _columnar_step, and one without
     through _node_step. record=True keeps a state snapshot per round for
     replay inspection. stop, when given, is called after every round with
@@ -310,12 +355,18 @@ def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):
     if max_rounds < 1:
         raise EngineFault("max_rounds must be at least 1")
     if initial_state is None:
-        state = scheme.init_state(g)
+        init_arrays = getattr(scheme, "init_arrays", None)
+        if init_arrays is not None:
+            state = init_arrays(g)
+        else:
+            state = _pack(scheme.init_state(g), g.n)
+    elif _is_csr(initial_state):
+        state = _cast(initial_state, g.n)
     else:
         state = [tuple(c) for c in initial_state]
         if len(state) != g.n:
-            raise EngineFault("initial state must cover all %d nodes" % g.n)
-    state = _pack(state, g.n)
+            raise EngineFault(_COVER % g.n)
+        state = _pack(state, g.n)
     round_fn = _node_step
     if getattr(scheme, "hash_arrays", None) is not None:
         round_fn = _columnar_step

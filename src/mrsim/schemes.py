@@ -1,12 +1,19 @@
 """Connected-component hashing schemes for the round engine.
 
 Every node state is a strictly increasing tuple of node ids (a "cluster").
-Each scheme provides init_state, hash (emit (key, payload) messages), merge,
-hash_arrays, its hash on the engine's CSR state (lens, ids), which engine.run
-uses, and export, which reads components off a converged CSR state. HashMin
-and AlternatingHGTM, whose merge is not a plain union of what a node receives,
-add merge_arrays, their merge on that union and the previous state. hash and
-merge stay the per-node spec that engine.step runs.
+Each scheme provides:
+- init_arrays, its start state as the engine's CSR arrays (lens, ids),
+  which engine.run uses, built by engine._pair_union where a node starts
+  with more than itself;
+- init_state, the same start state as a list of clusters, for wrappers
+  that copy it and not init_arrays (the benchmark's tracer);
+- hash (emit (key, payload) messages) and merge, the per-node spec that
+  engine.step runs;
+- hash_arrays, its hash on the CSR state, which engine.run uses;
+- export, which reads components off a converged CSR state.
+HashMin and AlternatingHGTM, whose merge is not a plain union of what a
+node receives, add merge_arrays, their merge on that union and the
+previous state.
 """
 
 from bisect import bisect_left, bisect_right
@@ -21,20 +28,24 @@ from . import engine
 from .engine import merge_sorted_dedup
 
 
-def _closed_neighborhoods(g):
-    state = []
-    for v in range(g.n):
-        a = g.adj[v]
-        i = bisect_left(a, v)
-        state.append(a[:i] + (v,) + a[i:])
-    return state
-
-
 def _edge_arrays(g, dtype):
     """Every edge in both directions, as arrays (src, dst) ordered by src."""
     deg = np.fromiter(map(len, g.adj), np.intp, g.n)
     dst = np.fromiter(chain.from_iterable(g.adj), dtype, int(deg.sum()))
     return np.repeat(np.arange(g.n, dtype=dtype), deg), dst
+
+
+def _singletons(g):
+    """Every node holding only itself, as CSR arrays."""
+    return np.ones(g.n, np.intp), np.arange(g.n, dtype=engine._id_dtype(g.n))
+
+
+def _closed_neighborhoods(g):
+    """Every node holding itself and its neighbors, as CSR arrays."""
+    src, dst = _edge_arrays(g, engine._id_dtype(g.n))
+    own = np.arange(g.n, dtype=dst.dtype)
+    return engine._pair_union(g.n, np.concatenate((src, own)),
+                              np.concatenate((dst, own)))
 
 
 def _labels(lens, ids):
@@ -60,15 +71,26 @@ def _export_min_labeled(g, state):
     return sorted(engine._unpack((lens[own], ids[np.repeat(own, lens)])))
 
 
-class HashMin:
+class _Scheme:
+    """What every scheme shares: init_state is the list form of the
+    scheme's init_arrays, its start state as CSR arrays, which run uses.
+    A wrapper that copies init_state but not init_arrays, as the
+    benchmark's tracer does, still starts from the same state."""
+
+    check_every = 1
+
+    def init_state(self, g):
+        return list(engine._unpack(self.init_arrays(g)))
+
+
+class HashMin(_Scheme):
     """Label propagation: each node keeps the least id it has heard of and
     tells its static neighbors every round."""
 
     name = "hash-min"
-    check_every = 1
 
-    def init_state(self, g):
-        return [(v,) for v in range(g.n)]
+    def init_arrays(self, g):
+        return _singletons(g)
 
     def hash(self, rnd, v, st, g):
         if not st:
@@ -109,14 +131,13 @@ class HashMin:
         return _grouped(held, _labels(*state)[held])
 
 
-class HashToAll:
+class HashToAll(_Scheme):
     """Full gossip: send the whole cluster to every member; cluster radius
     doubles each round."""
 
     name = "hash-to-all"
-    check_every = 1
 
-    def init_state(self, g):
+    def init_arrays(self, g):
         return _closed_neighborhoods(g)
 
     def hash(self, rnd, v, st, g):
@@ -134,17 +155,16 @@ class HashToAll:
         return _export_min_labeled(g, state)
 
 
-class HashToMin:
+class HashToMin(_Scheme):
     """Send the cluster to its minimum and the minimum to the rest.
 
     This class owns LbHashToMin's split of a cluster larger than tau in
     both forms, hash and hash_arrays; here tau is inf."""
 
     name = "hash-to-min"
-    check_every = 1
     tau = inf
 
-    def init_state(self, g):
+    def init_arrays(self, g):
         return _closed_neighborhoods(g)
 
     def hash(self, rnd, v, st, g):
@@ -187,7 +207,7 @@ class HashToMin:
         return _export_min_labeled(g, state)
 
 
-class AlternatingHGTM:
+class AlternatingHGTM(_Scheme):
     """Three-round schedule: two label rounds over edges and cluster
     pointers, then one round shipping each node's greater-than-self cluster
     tail to the cluster minimum. Convergence is judged on whole super-steps."""
@@ -195,8 +215,8 @@ class AlternatingHGTM:
     name = "hgtm-alt"
     check_every = 3
 
-    def init_state(self, g):
-        return [(v,) for v in range(g.n)]
+    def init_arrays(self, g):
+        return _singletons(g)
 
     def hash(self, rnd, v, st, g):
         if not st:
@@ -278,9 +298,8 @@ class AlternatingHGTM:
         n = lens.size
         got = lens > 0
         rows = np.arange(n, dtype=ids.dtype)
-        code = np.union1d(np.repeat(rows, prev[0]) * n + prev[1],
-                          rows[got] * n + _labels(lens, ids)[got])
-        return np.bincount(code // n, minlength=n), code % n
+        return engine._pair_union(n, np.concatenate((np.repeat(rows, prev[0]), rows[got])),
+                                  np.concatenate((prev[1], _labels(lens, ids)[got])))
 
     def export(self, g, state):
         return _export_min_labeled(g, state)
@@ -291,14 +310,16 @@ class LbHashToMin(HashToMin):
 
     A hub is a node whose closed neighborhood has more than tau ids. Every
     node starts with itself and its neighbors of the same kind, hub or
-    non-hub, as in plain hash-to-min. A hub also keeps its first tau non-hub
-    neighbors in id order, and each later run of tau of them is added to
-    the state of the run's least id. In later rounds a cluster larger than
-    tau ships only its members at most v to the cluster minimum, keeping the
-    rest on v as a new intermediate cluster; HashToMin's hash and
-    hash_arrays do that split. A second phase stitches the resulting
-    sub-clusters together over the real edges between them, so the
-    partition never depends on which edges phase one saw.
+    non-hub, as in plain hash-to-min. A hub's non-hub neighbors are ranked
+    0, 1, ... in id order, and the neighbor of rank k falls in run
+    k // tau: run 0 is added to the hub's own state, and each run r > 0 to
+    the state of its first member, the neighbor of rank r * tau. In later
+    rounds a cluster larger than tau ships only its members at most v to
+    the cluster minimum, keeping the rest on v as a new intermediate
+    cluster; HashToMin's hash and hash_arrays do that split. A second
+    phase stitches the resulting sub-clusters together over the real edges
+    between them, so the partition never depends on which edges phase one
+    saw.
 
     With tau=inf there are no hubs and the scheme is plain hash-to-min plus
     a one-round stitch. The cap is not a bound on reducer input:
@@ -321,19 +342,26 @@ class LbHashToMin(HashToMin):
             raise ValueError("tau must be a positive integer or inf, got %r" % (tau,))
         self.tau = tau if tau == inf else int(tau)
 
-    def init_state(self, g):
-        tau = self.tau
-        is_hub = [len(a) + 1 > tau for a in g.adj]
-        state = [[v] for v in range(g.n)]
-        for v, a in enumerate(g.adj):
-            rest = []
-            for u in a:
-                (state[v] if is_hub[u] == is_hub[v] else rest).append(u)
-            if is_hub[v]:
-                state[v] += rest[:tau]
-                for i in range(tau, len(rest), tau):
-                    state[rest[i]] += rest[i:i + tau]
-        return [tuple(sorted(set(st))) for st in state]
+    def init_arrays(self, g):
+        """The start state as one pair union: (v, v) for every node, both
+        directions of every edge between two of a kind, and each hub's
+        non-hub neighbors given to the holders of their runs."""
+        n = g.n
+        src, dst = _edge_arrays(g, engine._id_dtype(n))
+        hub = np.bincount(src, minlength=n) + 1 > self.tau
+        same = hub[src] == hub[dst]
+        # Hub-to-non-hub edges, ordered by hub and then by neighbor id. No
+        # node is a hub when tau > n, so tau can be taken as an int.
+        cross = np.flatnonzero(hub[src] & ~same)
+        tau = min(self.tau, n + 1)
+        hubs, rest = src[cross], dst[cross]
+        # A neighbor's rank is its distance from its hub's first cross edge.
+        first = np.searchsorted(hubs, hubs)
+        run = (np.arange(cross.size) - first) // tau
+        holder = np.where(run == 0, hubs, rest[first + run * tau])
+        own = np.arange(n, dtype=dst.dtype)
+        return engine._pair_union(n, np.concatenate((own, src[same], holder)),
+                                  np.concatenate((own, dst[same], rest)))
 
     def finalize(self, g, result, max_rounds):
         """Phase 2: plain hash-to-min among the phase-1 labels, in g's own
@@ -341,14 +369,11 @@ class LbHashToMin(HashToMin):
         neighbors, and every other node nothing. At the fixpoint each label
         holds its component's minimum first, and every node joins the
         component of its label."""
-        labels = _labels(*result.final).tolist()
-        seed = [[] for _ in range(g.n)]
-        for v, a in enumerate(g.adj):
-            s = seed[labels[v]]
-            s.append(labels[v])
-            s.extend(map(labels.__getitem__, a))
-        phase2 = engine.run(g, HashToMin(), max_rounds, initial_state=[
-            tuple(sorted(set(s))) for s in seed])
+        labels = _labels(*result.final)
+        src, dst = _edge_arrays(g, labels.dtype)
+        seed = engine._pair_union(g.n, np.concatenate((labels, labels[src])),
+                                  np.concatenate((labels, labels[dst])))
+        phase2 = engine.run(g, HashToMin(), max_rounds, initial_state=seed)
         top = _labels(*phase2.final)[labels]
         shifted = [replace(m, round=m.round + result.rounds)
                    for m in phase2.per_round]

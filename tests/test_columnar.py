@@ -180,6 +180,14 @@ def test_columnar_asymmetric_union_matches_per_node(columnar_rounds):
 def test_array_width_follows_n():
     assert engine._pack([()] * 46340, 46340)[1].dtype == np.int32
     assert engine._pack([()] * 46341, 46341)[1].dtype == np.int64
+    # Every start state takes _pack's width; at tau 2 a path's inner
+    # nodes are hubs and its ends are not.
+    for n, width in ((46340, np.int32), (46341, np.int64), (0, np.int32)):
+        g = gen_path(n) if n else Graph(0, [])
+        for make in (HashMin, HashToAll, HashToMin, AlternatingHGTM, lambda: LbHashToMin(2)):
+            lens, ids = make().init_arrays(g)
+            assert lens.dtype == np.intp and ids.dtype == width
+            assert lens.size == n and ids.size == int(lens.sum())
 
 
 def test_columnar_worked_trace_with_empty_states(columnar_rounds):

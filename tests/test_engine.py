@@ -11,7 +11,7 @@ from mrsim import engine
 from mrsim.engine import (EngineFault, merge_sorted_dedup, result_to_json, run,
                           step)
 from mrsim.graph import Graph, gen_path, gen_random
-from mrsim.schemes import AlternatingHGTM, HashMin, HashToMin, LbHashToMin
+from mrsim.schemes import AlternatingHGTM, HashMin, HashToAll, HashToMin, LbHashToMin
 
 
 def test_merge_sorted_dedup_examples():
@@ -135,6 +135,59 @@ def test_initial_state_override_is_used():
               record=True)
     assert res.snapshots[0] == ((0,), (0,), (0,), (0,))
     assert res.rounds == 1
+
+
+def test_resuming_from_final_converges_at_once():
+    """A converged run's .final, handed back as a CSR initial state, is a
+    fixpoint: the run converges at its first check with the same
+    components. lb's .final is its phase-1 state, so its phase 1 does."""
+    g = gen_random(120, 0.02, seed=3)
+    for make in (HashMin, HashToAll, HashToMin, AlternatingHGTM, lambda: LbHashToMin(2)):
+        first = run(g, make(), 1000)
+        again = run(g, make(), 1000, initial_state=first.final)
+        assert again.converged and again.components == first.components
+        assert (again.phase_split or again.rounds) == make().check_every
+
+
+def _csr(clusters, dtype=np.int64):
+    """A list of clusters as CSR arrays, built apart from the engine."""
+    return (np.array([len(c) for c in clusters], np.intp),
+            np.array([v for c in clusters for v in c], dtype))
+
+
+@pytest.mark.parametrize("init", [
+    [(0,), (1,), (2,)],
+    [(0, 1), (1, 7), (2, 3), (3,)],
+    [(-1, 0), (1,), (2,), (3,)],
+    [(0, 1), (1, 2 ** 40), (2,), (3,)],
+    [(0,), (3, 1), (2,), (3,)],
+])
+def test_csr_initial_state_fails_as_the_list_form(init):
+    g = gen_path(4)
+    for scheme in (HashMin(), HashToMin(), LbHashToMin(1)):
+        with pytest.raises(EngineFault) as listed:
+            run(g, scheme, 10, initial_state=init)
+        with pytest.raises(EngineFault) as packed:
+            run(g, scheme, 10, initial_state=_csr(init))
+        assert str(packed.value) == str(listed.value)
+
+
+def test_csr_initial_state_lens_must_cover_its_ids():
+    ids = np.arange(4, dtype=np.int32)
+    for lens in ([1, 1, 1, 2], [2, 2, -1, 1]):
+        with pytest.raises(EngineFault, match="lens"):
+            run(gen_path(4), HashMin(), 10, initial_state=(np.array(lens), ids))
+
+
+def test_csr_initial_state_of_int64_runs_as_the_list_form():
+    g = gen_path(6)
+    init = [(0, 1, 4), (), (1, 2), (3,), (3, 4, 5), (5,)]
+    for scheme in (HashToAll(), HashToMin(), LbHashToMin(2)):
+        listed = run(g, scheme, 100, initial_state=init, record=True)
+        packed = run(g, scheme, 100, initial_state=_csr(init), record=True)
+        assert result_to_json(packed) == result_to_json(listed)
+        assert packed.snapshots == listed.snapshots
+        assert packed.final[1].dtype == listed.final[1].dtype == np.int32
 
 
 def test_unconverged_run_reports_no_components():

@@ -8,17 +8,19 @@ byte, converge to the oracle's partition and to networkx's, and keep every
 recorded cluster strictly increasing within 0..n-1. The per-round metrics
 of the schemes that run wholly on hash and merge equal a tally taken
 around those calls. hash-to-min-lb's start state follows its edge rule,
-checked edge by edge.
+checked edge by edge, and every scheme's init_arrays equals an independent
+reference. lb's phase-2 start state equals the per-node loop it replaced.
 """
 
 from math import inf
 from unittest import mock
 
 import networkx as nx
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrsim import schemes
+from mrsim import engine, schemes
 from mrsim.engine import result_to_json, run
 from mrsim.graph import Graph
 from mrsim.oracle import union_find_components
@@ -139,3 +141,47 @@ def test_lb_start_state_follows_the_edge_rule(g, tau):
     assert list(got) == lb_start_reference(g, tau)
     if tau == inf:
         assert list(got) == list(schemes.HashToMin().init_state(g))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(graphs(), st.sampled_from([1, 2, 3, 5, inf]))
+def test_init_arrays_match_independent_references(g, tau):
+    closed = [tuple(sorted({v, *g.adj[v]})) for v in range(g.n)]
+    single = [(v,) for v in range(g.n)]
+    want = {schemes.HashMin(): single, schemes.AlternatingHGTM(): single,
+            schemes.HashToAll(): closed, schemes.HashToMin(): closed,
+            schemes.LbHashToMin(tau): lb_start_reference(g, tau)}
+    for scheme, ref in want.items():
+        lens, ids = scheme.init_arrays(g)
+        assert lens.dtype == np.intp and ids.dtype == np.int32, scheme.name
+        assert list(engine._unpack((lens, ids))) == ref, scheme.name
+        assert scheme.init_state(g) == ref, scheme.name
+
+
+def lb_phase2_reference(g, labels):
+    """The phase-2 start state as a loop over the nodes: each label holds
+    itself and the labels of its members' neighbors."""
+    seed = [[] for _ in range(g.n)]
+    for v, a in enumerate(g.adj):
+        s = seed[labels[v]]
+        s.append(labels[v])
+        s.extend(labels[u] for u in a)
+    return [tuple(sorted(set(s))) for s in seed]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(graphs(), st.sampled_from([1, 2, 3, 5, inf]))
+def test_lb_phase2_seed_matches_the_node_loop(g, tau):
+    seeds = []
+
+    def spy(g, scheme, max_rounds, initial_state=None, **kwargs):
+        seeds.append(initial_state)
+        return run(g, scheme, max_rounds, initial_state=initial_state, **kwargs)
+    # finalize starts phase 2 through the module attribute.
+    with mock.patch.object(engine, "run", spy):
+        res = run(g, schemes.LbHashToMin(tau), 100000)
+    (seed,) = seeds
+    # res.final is phase 1's fixpoint; a label is a cluster's least id.
+    labels = [c[0] if c else v for v, c in enumerate(engine._unpack(res.final))]
+    assert seed[0].size == g.n
+    assert list(engine._unpack(seed)) == lb_phase2_reference(g, labels)
