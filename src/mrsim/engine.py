@@ -7,15 +7,24 @@ of node ids. Merging is defined purely by the incoming payloads plus the
 previous state passed as an explicit argument; a node with no incoming
 messages keeps nothing implicitly.
 
-run keeps every state as CSR arrays (lens, ids), each node's cluster length
-and all clusters' ids laid end to end, from the start state to the last,
-which leaves run so: as RunResult.final and as export's input. A scheme's
-init_arrays gives its start state in that form; run packs a list of
-clusters (an initial_state list, or init_state of a scheme without
-init_arrays) with _pack. A scheme's hash_arrays, the array form of its
-hash, makes the round columnar: the union and the metrics are done with
-numpy. _pair_union, a sort of (key, id) codes, is the one pair union: the
-round's union for hash-to-min, both phases of hash-to-min-lb, hash-min and
+Every boundary of run takes and gives the state in one form, CSR arrays
+(lens, ids): each node's cluster length and all clusters' ids laid end to
+end. The start state, scheme.init_state(g) or an initial_state, is
+normalized once (a list of clusters, still accepted as initial_state, is
+packed); each round maps it to the next; stop, export and RunResult.final
+see it as held. Lists of clusters exist only inside the per-node spec
+(step's body, a scheme's hash and merge) and in the outputs (snapshots and
+components). run takes one of two round functions, both
+(g, scheme, (lens, ids), rnd) -> ((lens, ids), RoundMetrics): step, the
+per-node spec, which unpacks the state for hash and merge and packs their
+result, and _columnar_step for a scheme with hash_arrays, the array form
+of its hash, where the union and the metrics are done with numpy. A
+wrapped scheme without hash_arrays, such as the benchmark's traced runs,
+takes step. Both check every state they are given, so a bad initial state
+fails alike on both.
+
+_pair_union, a sort of (key, id) codes, is the one pair union: the round's
+union for hash-to-min, both phases of hash-to-min-lb, hash-min and
 hgtm-alt, and also how the schemes build their start states, lb its
 phase-2 state and hgtm-alt its label-round merge. hash-to-all ships whole
 clusters, and its union is either a bitset OR, each cluster as
@@ -26,12 +35,7 @@ scheme whose merge is more than the union of what a node receives also
 offers merge_arrays(rnd, new, prev), which maps each node's union and its
 previous state, both CSR, to its new state: hash-min keeps the least id
 received, and hgtm-alt inserts it into the previous state on its label
-rounds. Without merge_arrays the union is the new state. The per-node hash
-and merge stay the spec: a wrapped scheme without hash_arrays, such as the
-benchmark's traced runs, takes _node_step, which unpacks the state for
-step and packs step's result again. Such a wrapper copies init_state and
-not init_arrays, so its start state is packed too. Both round kinds check
-every state they are given, so a bad initial state fails alike on both.
+rounds. Without merge_arrays the union is the new state.
 
 run is the one round driver: component runs go to convergence, and
 single-linkage growth passes its stop check as run's stop test.
@@ -88,8 +92,12 @@ def merge_sorted_dedup(seqs):
 
 
 def step(g, scheme, state, rnd):
-    """Run one map-reduce round; returns (new_state, RoundMetrics)."""
+    """Run one map-reduce round of the per-node spec on the CSR state
+    (lens, ids): scheme.hash and scheme.merge see each node's cluster as a
+    tuple of ints. Returns the new CSR state and the RoundMetrics."""
     n = g.n
+    _check_held(rnd, n, *state)
+    state = _unpack(state)
     incoming = [None] * n
     messages = 0
     volume = 0
@@ -124,7 +132,7 @@ def step(g, scheme, state, rnd):
         c = merge_fn(rnd, v, payloads, state[v])
         new_state[v] = c
         total += len(c)
-    return new_state, RoundMetrics(rnd, messages, volume, max_in, total)
+    return _pack(new_state, n), RoundMetrics(rnd, messages, volume, max_in, total)
 
 
 _OUTSIDE = "a state holds an id outside 0..%d"
@@ -147,26 +155,38 @@ def _pack(state, n):
     return lens, ids
 
 
-def _is_csr(state):
-    """A tuple of two numpy arrays is a CSR state (lens, ids), the form
-    RunResult.final has; anything else is a list of clusters."""
-    return (isinstance(state, tuple) and len(state) == 2
-            and all(isinstance(a, np.ndarray) for a in state))
-
-
-def _cast(state, n):
-    """A CSR initial state (lens, ids) with lens of intp and ids of
-    _id_dtype(n). It fails as _pack does on an id the cast would change."""
+def _start(state, n):
+    """The start state as CSR arrays of the engine's dtypes. A tuple of two
+    numpy arrays is a CSR pair (lens, ids), the form RunResult.final has:
+    lens are cast to intp and ids to _id_dtype(n), and a value either cast
+    would change is an EngineFault, as _pack's overflow is. Anything else
+    is a list of clusters, packed. Either form must hold n clusters."""
+    if not (isinstance(state, tuple) and len(state) == 2
+            and all(isinstance(a, np.ndarray) for a in state)):
+        state = [tuple(c) for c in state]
+        if len(state) != n:
+            raise EngineFault(_COVER % n)
+        return _pack(state, n)
     lens, ids = state
     if lens.size != n:
         raise EngineFault(_COVER % n)
-    if (lens < 0).any() or lens.sum() != ids.size:
-        raise EngineFault("initial state's lens must be at least 0 and sum to its %d ids"
-                          % ids.size)
-    cast = ids.astype(_id_dtype(n), copy=False)
-    if cast is not ids and not np.array_equal(cast, ids):
+    lens = _exact(lens, np.intp)
+    if lens is None or (lens < 0).any() or lens.sum() != ids.size:
+        raise EngineFault("initial state's lens must be whole numbers at least 0"
+                          " that sum to its %d ids" % ids.size)
+    ids = _exact(ids, _id_dtype(n))
+    if ids is None:
         raise EngineFault(_OUTSIDE % (n - 1))
-    return lens.astype(np.intp, copy=False), cast
+    return lens, ids
+
+
+def _exact(a, dtype):
+    """a as dtype, or None where the cast would change a value."""
+    if a.dtype == dtype:
+        return a
+    with np.errstate(invalid="ignore"):
+        cast = a.astype(dtype)
+    return cast if np.array_equal(cast, a) else None
 
 
 def _unpack(state):
@@ -326,48 +346,27 @@ def _firsts(a):
     return first
 
 
-def _node_step(g, scheme, state, rnd):
-    """One round of the per-node spec on CSR state: step (looked up here,
-    so a patched engine.step runs) on the unpacked clusters."""
-    _check_held(rnd, g.n, *state)
-    new, metrics = step(g, scheme, _unpack(state), rnd)
-    return _pack(new, g.n), metrics
-
-
 def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):
     """Drive a scheme to convergence, a stop, or max_rounds.
 
     Convergence is state equality checked every scheme.check_every rounds
     (the confirming round is counted). The state is held as CSR arrays
-    (lens, ids) throughout. It starts as initial_state when given: a CSR
-    pair, the form RunResult.final has, whose ids are cast to _id_dtype(n),
-    or a list of clusters, packed. Otherwise it starts as
-    scheme.init_arrays(g), or as scheme.init_state(g) packed for a scheme
-    without init_arrays. A scheme with hash_arrays (every scheme in
-    mrsim.schemes) runs each round through _columnar_step, and one without
-    through _node_step. record=True keeps a state snapshot per round for
-    replay inspection. stop, when given, is called after every round with
-    the state's (lens, ids) arrays, before the convergence test; when it
-    returns true the run ends with stopped=True and converged=False, and
-    export and finalize are skipped. export and final get the last state as
-    held; snapshots are tuples of tuples of Python ints, as _unpack(final).
+    (lens, ids) throughout. It starts as initial_state when given, else as
+    scheme.init_state(g): a CSR pair, the form RunResult.final has, whose
+    ids are cast to _id_dtype(n), or a list of clusters, packed. A scheme
+    with hash_arrays (every scheme in mrsim.schemes) runs each round
+    through _columnar_step, and one without through step. record=True
+    keeps a state snapshot per round for replay inspection. stop, when
+    given, is called after every round with the state's (lens, ids)
+    arrays, before the convergence test; when it returns true the run ends
+    with stopped=True and converged=False, and export and finalize are
+    skipped. export and final get the last state as held; snapshots are
+    tuples of tuples of Python ints, as _unpack(final).
     """
     if max_rounds < 1:
         raise EngineFault("max_rounds must be at least 1")
-    if initial_state is None:
-        init_arrays = getattr(scheme, "init_arrays", None)
-        if init_arrays is not None:
-            state = init_arrays(g)
-        else:
-            state = _pack(scheme.init_state(g), g.n)
-    elif _is_csr(initial_state):
-        state = _cast(initial_state, g.n)
-    else:
-        state = [tuple(c) for c in initial_state]
-        if len(state) != g.n:
-            raise EngineFault(_COVER % g.n)
-        state = _pack(state, g.n)
-    round_fn = _node_step
+    state = _start(scheme.init_state(g) if initial_state is None else initial_state, g.n)
+    round_fn = step
     if getattr(scheme, "hash_arrays", None) is not None:
         round_fn = _columnar_step
     check_every = getattr(scheme, "check_every", 1)

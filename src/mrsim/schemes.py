@@ -1,19 +1,17 @@
 """Connected-component hashing schemes for the round engine.
 
-Every node state is a strictly increasing tuple of node ids (a "cluster").
-Each scheme provides:
-- init_arrays, its start state as the engine's CSR arrays (lens, ids),
-  which engine.run uses, built by engine._pair_union where a node starts
-  with more than itself;
-- init_state, the same start state as a list of clusters, for wrappers
-  that copy it and not init_arrays (the benchmark's tracer);
+Every node state is a strictly increasing tuple of node ids (a "cluster"),
+held by engine.run as CSR arrays (lens, ids). Each scheme provides:
+- init_state, its start state as CSR arrays, built by engine._pair_union
+  where a node starts with more than itself;
 - hash (emit (key, payload) messages) and merge, the per-node spec that
-  engine.step runs;
+  engine.step runs on each node's cluster as a tuple;
 - hash_arrays, its hash on the CSR state, which engine.run uses;
 - export, which reads components off a converged CSR state.
-HashMin and AlternatingHGTM, whose merge is not a plain union of what a
-node receives, add merge_arrays, their merge on that union and the
-previous state.
+_Scheme gives every scheme the union of what a node receives as its merge
+and the export of the clusters held by their own minimum; HashMin and
+AlternatingHGTM, whose merge is not a plain union, override merge and add
+merge_arrays, their merge on that union and the previous state.
 """
 
 from bisect import bisect_left, bisect_right
@@ -63,24 +61,21 @@ def _grouped(nodes, label):
     return sorted(engine._unpack((sizes[sizes > 0], nodes[order])))
 
 
-def _export_min_labeled(g, state):
-    """The CSR state's clusters whose minimum is their holder; the terminal
-    shape of the min-propagating schemes."""
-    lens, ids = state
-    own = (lens > 0) & (_labels(lens, ids) == np.arange(lens.size))
-    return sorted(engine._unpack((lens[own], ids[np.repeat(own, lens)])))
-
-
 class _Scheme:
-    """What every scheme shares: init_state is the list form of the
-    scheme's init_arrays, its start state as CSR arrays, which run uses.
-    A wrapper that copies init_state but not init_arrays, as the
-    benchmark's tracer does, still starts from the same state."""
+    """What the schemes share: a convergence check every round, merge as
+    the union of what a node receives, and export of the CSR state's
+    clusters whose minimum is their holder, the terminal shape of the
+    min-propagating schemes."""
 
     check_every = 1
 
-    def init_state(self, g):
-        return list(engine._unpack(self.init_arrays(g)))
+    def merge(self, rnd, v, payloads, prev):
+        return merge_sorted_dedup(payloads)
+
+    def export(self, g, state):
+        lens, ids = state
+        own = (lens > 0) & (_labels(lens, ids) == np.arange(lens.size))
+        return sorted(engine._unpack((lens[own], ids[np.repeat(own, lens)])))
 
 
 class HashMin(_Scheme):
@@ -89,7 +84,7 @@ class HashMin(_Scheme):
 
     name = "hash-min"
 
-    def init_arrays(self, g):
+    def init_state(self, g):
         return _singletons(g)
 
     def hash(self, rnd, v, st, g):
@@ -137,22 +132,16 @@ class HashToAll(_Scheme):
 
     name = "hash-to-all"
 
-    def init_arrays(self, g):
+    def init_state(self, g):
         return _closed_neighborhoods(g)
 
     def hash(self, rnd, v, st, g):
         return [(u, st) for u in st]
 
-    def merge(self, rnd, v, payloads, prev):
-        return merge_sorted_dedup(payloads)
-
     def hash_arrays(self, rnd, lens, ids, g):
         """hash on CSR state: every held id receives its holder's whole
         cluster (vals None), one message per held id."""
         return ids, None, ids.size
-
-    def export(self, g, state):
-        return _export_min_labeled(g, state)
 
 
 class HashToMin(_Scheme):
@@ -164,7 +153,7 @@ class HashToMin(_Scheme):
     name = "hash-to-min"
     tau = inf
 
-    def init_arrays(self, g):
+    def init_state(self, g):
         return _closed_neighborhoods(g)
 
     def hash(self, rnd, v, st, g):
@@ -179,9 +168,6 @@ class HashToMin(_Scheme):
                 out.append((target[0], half))
                 out.extend((u, target) for u in half if u != target[0])
         return out
-
-    def merge(self, rnd, v, payloads, prev):
-        return merge_sorted_dedup(payloads)
 
     def hash_arrays(self, rnd, lens, ids, g):
         """hash on CSR state: (key, id) pairs and the message count. Each
@@ -203,9 +189,6 @@ class HashToMin(_Scheme):
         return (np.concatenate((target, ids[rest])),
                 np.concatenate((ids, target[rest])), messages)
 
-    def export(self, g, state):
-        return _export_min_labeled(g, state)
-
 
 class AlternatingHGTM(_Scheme):
     """Three-round schedule: two label rounds over edges and cluster
@@ -215,7 +198,7 @@ class AlternatingHGTM(_Scheme):
     name = "hgtm-alt"
     check_every = 3
 
-    def init_arrays(self, g):
+    def init_state(self, g):
         return _singletons(g)
 
     def hash(self, rnd, v, st, g):
@@ -301,9 +284,6 @@ class AlternatingHGTM(_Scheme):
         return engine._pair_union(n, np.concatenate((np.repeat(rows, prev[0]), rows[got])),
                                   np.concatenate((prev[1], _labels(lens, ids)[got])))
 
-    def export(self, g, state):
-        return _export_min_labeled(g, state)
-
 
 class LbHashToMin(HashToMin):
     """Hash-to-min with a reducer load cap.
@@ -342,7 +322,7 @@ class LbHashToMin(HashToMin):
             raise ValueError("tau must be a positive integer or inf, got %r" % (tau,))
         self.tau = tau if tau == inf else int(tau)
 
-    def init_arrays(self, g):
+    def init_state(self, g):
         """The start state as one pair union: (v, v) for every node, both
         directions of every edge between two of a kind, and each hub's
         non-hub neighbors given to the holders of their runs."""

@@ -6,7 +6,9 @@ through their merge_arrays), hash-to-all on the bitset union or the sparse
 product. Setting hash_arrays to None on an instance hides it, so the same
 scheme runs through step, hash and merge; the two must agree byte for
 byte, fail the same contract checks and hand back only Python ints. The
-same holds for run_slc growth.
+same holds for run_slc growth. A wrapper that copies only the names the
+benchmark's tracer copies runs every gate variant through engine.step and
+gives the bare scheme's output.
 
 hash-to-all's two unions must give the same arrays. The bitset, ceil(n / 64)
 uint64 words per cluster, is taken when its n rows fit in the held ids; the
@@ -33,6 +35,7 @@ from mrsim.graph import (Graph, gen_complete_binary_tree, gen_path, gen_random,
                          gen_star, relabel_random)
 from mrsim.schemes import AlternatingHGTM, HashMin, HashToAll, HashToMin, LbHashToMin
 from mrsim.slc import StopPredicate, run_slc
+from test_acceptance import ALL_VARIANTS
 from test_slc_properties import csr
 
 
@@ -177,6 +180,46 @@ def test_columnar_asymmetric_union_matches_per_node(columnar_rounds):
         assert _assert_same(g, ToMinOnly, columnar_rounds).converged
 
 
+class Delegating:
+    """A wrapper that copies only what the benchmark's traced scheme does:
+    name, check_every, hash, merge, init_state, export, and finalize when
+    the scheme has it. With no hash_arrays, run takes engine.step, the name
+    the tracer patches."""
+
+    def __init__(self, inner):
+        self.name = inner.name
+        self.check_every = inner.check_every
+        self.hash = inner.hash
+        self.merge = inner.merge
+        self.init_state = inner.init_state
+        self.export = inner.export
+        if hasattr(inner, "finalize"):
+            self.finalize = inner.finalize
+
+
+def test_delegating_wrapper_runs_as_the_bare_scheme(monkeypatch):
+    """Every gate variant behind the wrapper runs its rounds through
+    engine.step, lb's phase 1 included, and gives the bare scheme's
+    result_to_json byte for byte."""
+    steps = []
+    inner = engine.step
+
+    def counted(g, scheme, state, rnd):
+        steps.append(rnd)
+        return inner(g, scheme, state, rnd)
+    monkeypatch.setattr(engine, "step", counted)
+    graphs = [gen_random(60, 0.05, seed=1), gen_random(90, 0.02, seed=2),
+              gen_path(33), gen_complete_binary_tree(31), gen_star(40),
+              Graph(0, []), Graph(1, [])]
+    for g in graphs:
+        for name, tau in ALL_VARIANTS:
+            bare = run(g, schemes.make_scheme(name, tau), 10000)
+            del steps[:]
+            wrapped = run(g, Delegating(schemes.make_scheme(name, tau)), 10000)
+            assert result_to_json(wrapped) == result_to_json(bare), (name, tau)
+            assert len(steps) == (wrapped.phase_split or wrapped.rounds), (name, tau)
+
+
 def test_array_width_follows_n():
     assert engine._pack([()] * 46340, 46340)[1].dtype == np.int32
     assert engine._pack([()] * 46341, 46341)[1].dtype == np.int64
@@ -185,7 +228,7 @@ def test_array_width_follows_n():
     for n, width in ((46340, np.int32), (46341, np.int64), (0, np.int32)):
         g = gen_path(n) if n else Graph(0, [])
         for make in (HashMin, HashToAll, HashToMin, AlternatingHGTM, lambda: LbHashToMin(2)):
-            lens, ids = make().init_arrays(g)
+            lens, ids = make().init_state(g)
             assert lens.dtype == np.intp and ids.dtype == width
             assert lens.size == n and ids.size == int(lens.sum())
 

@@ -113,8 +113,8 @@ def test_nodes_keep_nothing_implicitly():
     # A merge built purely from payloads wipes any node the hash skipped;
     # the engine must not smuggle the previous state back in.
     g = gen_path(3)
-    state, _ = step(g, _SilentScheme(), _SilentScheme().init_state(g), 1)
-    assert state == [(0,), (), ()]
+    state, _ = step(g, _SilentScheme(), _csr([(0,), (1,), (2,)]), 1)
+    assert engine._unpack(state) == ((0,), (), ())
 
 
 def test_snapshots_one_per_round_plus_initial():
@@ -173,10 +173,41 @@ def test_csr_initial_state_fails_as_the_list_form(init):
 
 
 def test_csr_initial_state_lens_must_cover_its_ids():
+    """lens must be whole numbers at least 0 that sum to the ids. lens the
+    cast to intp would change are a fault, not a state cut short:
+    [1.5, 0.5, 1, 1] sums to the 4 ids but holds no whole cluster. Whole
+    floats are taken as their ints."""
     ids = np.arange(4, dtype=np.int32)
-    for lens in ([1, 1, 1, 2], [2, 2, -1, 1]):
+    for lens in ([1, 1, 1, 2], [2, 2, -1, 1], [1.5, 0.5, 1, 1], [1, 1, 1, np.nan]):
         with pytest.raises(EngineFault, match="lens"):
             run(gen_path(4), HashMin(), 10, initial_state=(np.array(lens), ids))
+    res = run(gen_path(4), HashMin(), 10, initial_state=(np.ones(4), ids), record=True)
+    assert res.converged and res.snapshots[0] == ((0,), (1,), (2,), (3,))
+
+
+class _StartsWith(_SilentScheme):
+    """A scheme whose init_state is the given start state."""
+
+    def __init__(self, start):
+        self.start = start
+
+    def init_state(self, g):
+        return self.start
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_start_state_of_wrong_length_fails_as_the_list_form(k):
+    """A scheme's init_state that gives k != n clusters, as a list or as
+    CSR arrays, fails with the same EngineFault as such an initial_state,
+    and is never cut to n clusters."""
+    g = gen_path(4)
+    start = [(v,) for v in range(k)]
+    with pytest.raises(EngineFault) as listed:
+        run(g, HashMin(), 10, initial_state=start)
+    for form in (start, _csr(start)):
+        with pytest.raises(EngineFault) as started:
+            run(g, _StartsWith(form), 10)
+        assert str(started.value) == str(listed.value)
 
 
 def test_csr_initial_state_of_int64_runs_as_the_list_form():

@@ -8,8 +8,9 @@ byte, converge to the oracle's partition and to networkx's, and keep every
 recorded cluster strictly increasing within 0..n-1. The per-round metrics
 of the schemes that run wholly on hash and merge equal a tally taken
 around those calls. hash-to-min-lb's start state follows its edge rule,
-checked edge by edge, and every scheme's init_arrays equals an independent
-reference. lb's phase-2 start state equals the per-node loop it replaced.
+checked edge by edge, and every scheme's init_state, CSR arrays, equals an
+independent reference. lb's phase-2 start state equals the per-node loop it
+replaced.
 """
 
 from math import inf
@@ -137,25 +138,24 @@ def lb_start_reference(g, tau):
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(graphs(), st.sampled_from([1, 2, 3, 5, inf]))
 def test_lb_start_state_follows_the_edge_rule(g, tau):
-    got = schemes.LbHashToMin(tau).init_state(g)
+    got = engine._unpack(schemes.LbHashToMin(tau).init_state(g))
     assert list(got) == lb_start_reference(g, tau)
     if tau == inf:
-        assert list(got) == list(schemes.HashToMin().init_state(g))
+        assert got == engine._unpack(schemes.HashToMin().init_state(g))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(graphs(), st.sampled_from([1, 2, 3, 5, inf]))
-def test_init_arrays_match_independent_references(g, tau):
+def test_init_state_matches_independent_references(g, tau):
     closed = [tuple(sorted({v, *g.adj[v]})) for v in range(g.n)]
     single = [(v,) for v in range(g.n)]
     want = {schemes.HashMin(): single, schemes.AlternatingHGTM(): single,
             schemes.HashToAll(): closed, schemes.HashToMin(): closed,
             schemes.LbHashToMin(tau): lb_start_reference(g, tau)}
     for scheme, ref in want.items():
-        lens, ids = scheme.init_arrays(g)
+        lens, ids = scheme.init_state(g)
         assert lens.dtype == np.intp and ids.dtype == np.int32, scheme.name
         assert list(engine._unpack((lens, ids))) == ref, scheme.name
-        assert scheme.init_state(g) == ref, scheme.name
 
 
 def lb_phase2_reference(g, labels):

@@ -199,13 +199,13 @@ def test_lb_splits_oversized_clusters_in_phase_one():
 
 def test_lb_hub_split_initial_clusters():
     # center 0 is a hub; its leaves, in id order, go out in runs of tau
-    assert LbHashToMin(3).init_state(gen_star(12)) == [
+    assert list(_unpack(LbHashToMin(3).init_state(gen_star(12)))) == [
         (0, 1, 2, 3), (1,), (2,), (3,), (4, 5, 6), (5,), (6,), (7, 8, 9),
         (8,), (9,), (10, 11), (11,)]
     # hubs 0, 1 and 4 keep their hub-hub edges on both sides
     g = Graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (1, 5), (1, 6),
                   (1, 7)])
-    assert LbHashToMin(2).init_state(g) == [
+    assert list(_unpack(LbHashToMin(2).init_state(g))) == [
         (0, 1, 2, 3, 4), (0, 1, 4, 5, 6), (2,), (3,), (0, 1, 4), (5,), (6,),
         (7,)]
 
