@@ -49,6 +49,8 @@ from operator import lt
 import numpy as np
 from scipy import sparse
 
+from .graph import _id_dtype
+
 
 class EngineFault(Exception):
     """A scheme broke an engine contract (bad key, empty or unsorted payload)."""
@@ -137,12 +139,6 @@ def step(g, scheme, state, rnd):
 
 _OUTSIDE = "a state holds an id outside 0..%d"
 _COVER = "initial state must cover all %d nodes"
-
-
-def _id_dtype(n):
-    """The dtype of a CSR state's ids on n nodes: int32 while every key * n
-    + id code fits in it, int64 otherwise."""
-    return np.int32 if n * n < 2 ** 31 else np.int64
 
 
 def _pack(state, n):

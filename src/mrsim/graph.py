@@ -1,112 +1,279 @@
 """Undirected graphs on compact integer ids: validation, generators, edge-list I/O,
-random relabeling, and BFS diameters."""
+random relabeling, and BFS diameters.
+
+A Graph holds CSR arrays. Node u's neighbors are indices[indptr[u]:indptr[u + 1]],
+ascending; rows[k] is the node whose list holds entry k; and edge_weights, None
+on an unweighted graph, gives each entry's weight. So every edge, and its
+weight, appears once in each direction. Every build (the constructor, the
+generators, relabel and load_edge_list) goes through one validated path over
+arrays: one sort of the u * n + v codes of both directions checks the ids
+against the range, self-loops, and duplicates in either orientation; then the
+weights are checked for one per edge, range (0, 1] and distinctness. Integer
+node counts and ids are required: a float id is refused, never cast. Every
+fault is a GraphError.
+
+adj (a tuple of neighbor tuples) and weights (a dict keyed by (u, v) with
+u < v) are views built on first use and cached, for the readers that walk
+nodes in Python: the breadth-first searches below, and so the oracle, slc's
+forest and the schemes' per-node hash.
+"""
 
 import math
+import numbers
+import operator
 import random
 import warnings
 from collections import deque
+from collections.abc import Mapping
+
+import numpy as np
 
 # All-source BFS above this size is replaced by sampled double sweeps.
 _EXACT_DIAMETER_CAP = 4096
 _DIAMETER_SAMPLES = 32
+
+# The build, and the engine, code a pair (u, v) as u * n + v in an int64.
+MAX_NODES = math.isqrt(2 ** 63 - 1)
 
 
 class GraphError(Exception):
     pass
 
 
+def _id_dtype(n):
+    """The dtype of node ids on n nodes, in a Graph's arrays and in the
+    engine's CSR states: int32 while every u * n + v code fits in it, int64
+    otherwise."""
+    return np.int32 if n * n < 2 ** 31 else np.int64
+
+
+def _node_count(n):
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise GraphError("node count must be an integer, got %r" % (n,)) from None
+    if n < 0:
+        raise GraphError("node count must be nonnegative")
+    if n > MAX_NODES:
+        raise GraphError("node count %d above %d, where n * n overflows int64"
+                         % (n, MAX_NODES))
+    return n
+
+
+def _pairs(pairs, n):
+    """A sequence of (u, v) integer id pairs as two int64 arrays. Ids are not
+    yet checked against the range, except those no int64 holds."""
+    seq = pairs if isinstance(pairs, np.ndarray) else list(pairs)
+    try:
+        a = np.asarray(seq)
+    except (TypeError, ValueError):
+        raise GraphError("edges must be (u, v) pairs") from None
+    if a.size == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise GraphError("edges must be (u, v) pairs")
+    if a.dtype.kind not in "biu" or (a.dtype.kind == "u" and a.max() >> 63):
+        # Some id is not an integer, or is past what an int64 holds.
+        listed = seq.tolist() if isinstance(seq, np.ndarray) else seq
+        bad = next(x for pair in listed for x in pair
+                   if not (isinstance(x, numbers.Integral) and 0 <= x < n))
+        raise GraphError("node id %r is not an integer in 0..%d" % (bad, n - 1))
+    a = a.astype(np.int64)
+    return a[:, 0], a[:, 1]
+
+
+def _first_repeat(x):
+    """The least index i such that x[i] equals some x[j] with j < i, or None."""
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    later = order[1:][s[1:] == s[:-1]]
+    return int(later.min()) if later.size else None
+
+
+def _keyed_weights(n, codes, weights):
+    """The mapping weights, keyed by edges in either orientation, as an array
+    aligned with the edges whose codes (least end * n + other end) are
+    given."""
+    ku, kv = _pairs(list(weights), n)
+    vals = list(weights.values())
+    if not all(isinstance(w, numbers.Real) for w in vals):
+        raise GraphError("weights must be real numbers")
+    if ((ku < 0) | (ku >= n) | (kv < 0) | (kv >= n) | (ku == kv)).any():
+        raise GraphError("weights must cover exactly the edge set")
+    kc = np.minimum(ku, kv) * n + np.maximum(ku, kv)
+    i = _first_repeat(kc)
+    if i is not None:
+        raise GraphError("edge (%d, %d) given two weights" % divmod(int(kc[i]), n))
+    korder, eorder = np.argsort(kc), np.argsort(codes)
+    if not np.array_equal(kc[korder], codes[eorder]):
+        raise GraphError("weights must cover exactly the edge set")
+    w = np.empty(codes.size)
+    w[eorder] = np.asarray(vals, dtype=np.float64)[korder]
+    return w
+
+
 class Graph:
     """Immutable undirected graph. Nodes are 0..n-1, edges have no self-loops or
-    duplicates, optional weights are pairwise distinct floats in (0, 1]."""
+    duplicates, optional weights are pairwise distinct floats in (0, 1].
 
-    __slots__ = ("n", "adj", "weights", "original_ids")
+    Graph(n, edges, weights) takes (u, v) pairs and a mapping from each
+    edge, in either orientation, to its weight. Its CSR fields and cached
+    views are described in the module docstring."""
+
+    __slots__ = ("n", "indptr", "indices", "rows", "edge_weights", "original_ids",
+                 "_adj", "_weights")
 
     def __init__(self, n, edges, weights=None, original_ids=None):
-        if n < 0:
-            raise GraphError("node count must be nonnegative")
-        seen = set()
-        nbrs = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError("edge (%r, %r) outside id range 0..%d" % (u, v, n - 1))
-            if u == v:
-                raise GraphError("self-loop at node %d" % u)
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphError("duplicate edge (%d, %d)" % key)
-            seen.add(key)
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self.n = n
-        self.adj = tuple(tuple(sorted(a)) for a in nbrs)
-        if weights is not None:
-            norm = {}
-            for (u, v), w in weights.items():
-                key = (u, v) if u < v else (v, u)
-                norm[key] = w
-            if set(norm) != seen:
-                raise GraphError("weights must cover exactly the edge set")
-            vals = list(norm.values())
-            for w in vals:
-                if not (0.0 < w <= 1.0):
-                    raise GraphError("weight %r outside (0, 1]" % w)
-            if len(set(vals)) != len(vals):
-                raise GraphError("edge weights must be pairwise distinct")
-            self.weights = norm
+        n = _node_count(n)
+        if not (weights is None or isinstance(weights, Mapping)):
+            raise GraphError("weights must map each edge to its weight")
+        self._fill(n, *_pairs(edges, n), weights, original_ids)
+
+    def _fill(self, n, u, v, w, original_ids, lines=None):
+        """The one validated build: edge i is (u[i], v[i]) with weight w[i],
+        w an array, a dict keyed by edge, or None. lines[i], when given, is
+        the line that edge i came from, for error messages, which name nodes
+        by their original ids."""
+        if original_ids is not None:
+            original_ids = tuple(original_ids)
+            if len(original_ids) != n:
+                raise GraphError("original_ids must name each of the %d nodes" % n)
+
+        def fail(i, msg):
+            raise GraphError(msg if lines is None else "line %d: %s" % (lines[i], msg))
+
+        def name(x):
+            return int(x) if original_ids is None else original_ids[x]
+
+        outside = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
+        if outside.size:
+            i = outside[0]
+            fail(i, "edge (%d, %d) outside id range 0..%d" % (u[i], v[i], n - 1))
+        loops = np.flatnonzero(u == v)
+        if loops.size:
+            fail(loops[0], "self-loop at node %r" % (name(u[loops[0]]),))
+        # One sort of both directions' codes gives the CSR order, and an
+        # edge given twice, in either orientation, shows as an equal pair.
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        edge_codes = lo * n + hi
+        codes = np.concatenate((edge_codes, hi * n + lo))
+        if w is None:
+            order = None
+            codes.sort()
         else:
-            self.weights = None
-        self.original_ids = tuple(original_ids) if original_ids is not None else None
+            order = np.argsort(codes)
+            codes = codes[order]
+        if (codes[1:] == codes[:-1]).any():
+            i = _first_repeat(edge_codes)
+            fail(i, "duplicate edge (%r, %r)" % (name(lo[i]), name(hi[i])))
+        if isinstance(w, Mapping):
+            w = _keyed_weights(n, edge_codes, w)
+        if w is not None:
+            w = np.asarray(w, dtype=np.float64)
+            outside = np.flatnonzero(~((w > 0.0) & (w <= 1.0)))
+            if outside.size:
+                fail(outside[0], "weight %r outside (0, 1]" % float(w[outside[0]]))
+            i = _first_repeat(w)
+            if i is not None:
+                fail(i, "duplicate weight %r" % float(w[i]))
+            w = np.concatenate((w, w))[order]
+            w.flags.writeable = False
+        dtype = _id_dtype(n)
+        rows = codes // n
+        indices = (codes - rows * n).astype(dtype)
+        indptr = np.zeros(n + 1, np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        rows = rows.astype(dtype)
+        for a in (indptr, indices, rows):
+            a.flags.writeable = False
+        self.n = n
+        self.indptr, self.indices, self.rows, self.edge_weights = indptr, indices, rows, w
+        self.original_ids = original_ids
+        self._adj = self._weights = None
+
+    @classmethod
+    def _from_arrays(cls, n, u, v, w=None, original_ids=None, lines=None):
+        """The graph of integer arrays u, v and weights w aligned with them,
+        built without the constructor's conversions."""
+        g = cls.__new__(cls)
+        g._fill(n, u.astype(np.int64, copy=False), v.astype(np.int64, copy=False), w,
+                original_ids, lines)
+        return g
+
+    @property
+    def adj(self):
+        """Each node's neighbors as a tuple of ints, ascending."""
+        if self._adj is None:
+            ids = self.indices.tolist()
+            ptr = self.indptr.tolist()
+            self._adj = tuple(tuple(ids[a:b]) for a, b in zip(ptr, ptr[1:]))
+        return self._adj
+
+    @property
+    def weights(self):
+        """None when unweighted, else {(u, v): weight} with u < v."""
+        if self.edge_weights is None:
+            return None
+        if self._weights is None:
+            up = self.rows < self.indices
+            self._weights = dict(zip(zip(self.rows[up].tolist(), self.indices[up].tolist()),
+                                     self.edge_weights[up].tolist()))
+        return self._weights
 
     @property
     def m(self):
-        return sum(len(a) for a in self.adj) // 2
+        return self.indices.size // 2
 
     def weight(self, u, v):
-        if self.weights is None:
+        if self.edge_weights is None:
             raise GraphError("graph is unweighted")
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self.weights[key]
-        except KeyError:
-            raise GraphError("no edge (%d, %d)" % (u, v)) from None
+        if isinstance(u, numbers.Integral) and 0 <= u < self.n:
+            lo, hi = self.indptr[u], self.indptr[u + 1]
+            k = lo + np.searchsorted(self.indices[lo:hi], v)
+            if k < hi and self.indices[k] == v:
+                return float(self.edge_weights[k])
+        raise GraphError("no edge (%s, %s)" % (u, v))
+
+    def _upper(self):
+        """Each edge once, as (u, v) with u < v: rows, indices and weights
+        masked to those entries."""
+        up = self.rows < self.indices
+        w = None if self.edge_weights is None else self.edge_weights[up]
+        return self.rows[up], self.indices[up], w
 
     def edges(self):
-        """Yield (u, v) with u < v."""
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        """Iterate over the edges as (u, v) with u < v, ascending."""
+        u, v, _ = self._upper()
+        return zip(u.tolist(), v.tolist())
 
     def sorted_edges(self):
         """Weighted edges as (w, u, v) ascending by weight."""
-        if self.weights is None:
+        if self.edge_weights is None:
             raise GraphError("graph is unweighted")
-        return sorted((w, u, v) for (u, v), w in self.weights.items())
+        u, v, w = self._upper()
+        order = np.argsort(w)
+        return list(zip(w[order].tolist(), u[order].tolist(), v[order].tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.n == other.n and self.adj == other.adj
-                and self.weights == other.weights)
+        a, b = self.edge_weights, other.edge_weights
+        return (self.n == other.n and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices)
+                and (a is None) == (b is None) and (a is None or np.array_equal(a, b)))
 
     def __hash__(self):
-        return hash((self.n, self.adj))
+        return hash((self.n, self.indptr.tobytes(), self.indices.tobytes()))
 
     def __repr__(self):
         return "Graph(n=%d, m=%d%s)" % (
-            self.n, self.m, ", weighted" if self.weights else "")
-
-
-# The engine codes a (key, id) pair as key * n + id in an int64.
-MAX_NODES = math.isqrt(2 ** 63 - 1)
+            self.n, self.m, ", weighted" if self.edge_weights is not None else "")
 
 
 def _require_positive(n):
-    if n < 1:
+    if isinstance(n, numbers.Integral) and n < 1:
         raise GraphError("need at least one node, got %d" % n)
-    if n > MAX_NODES:
-        raise GraphError("node count %d above %d, where n * n overflows int64"
-                         % (n, MAX_NODES))
+    return _node_count(n)
 
 
 def _unique_weights(rng, count):
@@ -122,53 +289,43 @@ def _unique_weights(rng, count):
     return out
 
 
-def _attach_weights(n, edge_list, seed):
-    rng = random.Random(seed)
-    ws = _unique_weights(rng, len(edge_list))
-    return Graph(n, edge_list, weights=dict(zip(edge_list, ws)))
+def _generated(n, u, v, weighted, seed):
+    """The graph of edges (u[i], v[i]), weighted in edge order from seed when
+    asked to be."""
+    w = _unique_weights(random.Random(seed), u.size) if weighted else None
+    return Graph._from_arrays(n, u, v, w)
 
 
 def gen_path(n, weighted=False, seed=0):
     """Path 0-1-...-(n-1)."""
-    _require_positive(n)
-    edge_list = [(i, i + 1) for i in range(n - 1)]
-    if weighted:
-        return _attach_weights(n, edge_list, seed)
-    return Graph(n, edge_list)
+    n = _require_positive(n)
+    u = np.arange(n - 1)
+    return _generated(n, u, u + 1, weighted, seed)
 
 
 def gen_complete_binary_tree(n, weighted=False, seed=0):
     """Heap-shaped binary tree: node i has children 2i+1 and 2i+2."""
-    _require_positive(n)
-    edge_list = []
-    for i in range(n):
-        for c in (2 * i + 1, 2 * i + 2):
-            if c < n:
-                edge_list.append((i, c))
-    if weighted:
-        return _attach_weights(n, edge_list, seed)
-    return Graph(n, edge_list)
+    n = _require_positive(n)
+    child = np.arange(1, n)
+    return _generated(n, (child - 1) // 2, child, weighted, seed)
 
 
 def gen_star(n, weighted=False, seed=0):
     """Star with center 0 and n-1 leaves."""
-    _require_positive(n)
-    edge_list = [(0, i) for i in range(1, n)]
-    if weighted:
-        return _attach_weights(n, edge_list, seed)
-    return Graph(n, edge_list)
+    n = _require_positive(n)
+    return _generated(n, np.zeros(n - 1, np.int64), np.arange(1, n), weighted, seed)
 
 
 def gen_random(n, p, seed, weighted=False):
     """G(n, p) by geometric edge skipping; independent of weight draws."""
-    _require_positive(n)
+    n = _require_positive(n)
     if not (0.0 <= p <= 1.0):
         raise GraphError("edge probability %r outside [0, 1]" % p)
     rng = random.Random(seed)
-    edge_list = []
+    rows, cols = [], []
     total = n * (n - 1) // 2
     if p >= 1.0:
-        edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rows, cols = np.triu_indices(n, 1)
     elif p > 0.0:
         log1p = math.log(1.0 - p)
         idx = -1
@@ -188,34 +345,30 @@ def gen_random(n, p, seed, weighted=False):
             while before + (n - a - 1) <= idx:
                 before += n - a - 1
                 a += 1
-            b = a + 1 + (idx - before)
-            edge_list.append((a, b))
-    if weighted:
-        ws = _unique_weights(rng, len(edge_list))
-        return Graph(n, edge_list, weights=dict(zip(edge_list, ws)))
-    return Graph(n, edge_list)
+            rows.append(a)
+            cols.append(a + 1 + (idx - before))
+    rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+    w = _unique_weights(rng, rows.size) if weighted else None
+    return Graph._from_arrays(n, rows, cols, w)
 
 
 def load_edge_list(text, weighted=False):
     """Parse an edge list: one 'u v' or 'u v w' per line, '#' comments, blank
-    lines ignored. Original ids are compacted to 0..n-1 preserving order."""
+    lines ignored. Original ids are compacted to 0..n-1 preserving order.
+    Errors name the line, and the nodes by their ids in the file."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     if isinstance(text, str):
         lines = text.splitlines()
     else:
         lines = [ln.rstrip("\r\n") for ln in text]
-    raw_edges = []
-    raw_weights = {}
-    weight_values = set()
-    seen_edges = set()
-    ids = set()
+    us, vs, ws, linenos = [], [], [], []
+    want = 3 if weighted else 2
     for lineno, line in enumerate(lines, 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         parts = body.split()
-        want = 3 if weighted else 2
         if len(parts) != want:
             raise GraphError("line %d: expected %d fields, got %d"
                              % (lineno, want, len(parts)))
@@ -226,55 +379,40 @@ def load_edge_list(text, weighted=False):
             raise GraphError("line %d: node ids must be integers" % lineno) from None
         if u < 0 or v < 0:
             raise GraphError("line %d: node ids must be nonnegative" % lineno)
-        if u == v:
-            raise GraphError("line %d: self-loop at %d" % (lineno, u))
-        key = (u, v) if u < v else (v, u)
-        if key in seen_edges:
-            raise GraphError("line %d: duplicate edge (%d, %d)" % (lineno, u, v))
-        seen_edges.add(key)
         if weighted:
             try:
-                w = float(parts[2])
+                ws.append(float(parts[2]))
             except ValueError:
                 raise GraphError("line %d: weight must be a decimal" % lineno) from None
-            if not (0.0 < w <= 1.0):
-                raise GraphError("line %d: weight %r outside (0, 1]" % (lineno, w))
-            if w in weight_values:
-                raise GraphError("line %d: duplicate weight %r" % (lineno, w))
-            raw_weights[key] = w
-            weight_values.add(w)
-        raw_edges.append(key)
-        ids.add(u)
-        ids.add(v)
-    order = sorted(ids)
+        us.append(u)
+        vs.append(v)
+        linenos.append(lineno)
+    order = sorted(set(us) | set(vs))
     rank = {orig: i for i, orig in enumerate(order)}
-    edge_list = sorted(set((rank[u], rank[v]) for u, v in raw_edges))
-    weights = None
-    if weighted:
-        weights = {(rank[u], rank[v]): w for (u, v), w in raw_weights.items()}
-    return Graph(len(order), edge_list, weights=weights, original_ids=order)
+    u = np.fromiter(map(rank.__getitem__, us), np.int64, len(us))
+    v = np.fromiter(map(rank.__getitem__, vs), np.int64, len(vs))
+    return Graph._from_arrays(len(order), u, v, ws if weighted else None,
+                              original_ids=order, lines=linenos)
 
 
 def dump_edge_list(g):
     """Inverse of load_edge_list for generated graphs (compact ids)."""
-    out = []
-    for u, v in g.edges():
-        if g.weights is not None:
-            out.append("%d %d %.17g" % (u, v, g.weight(u, v)))
-        else:
-            out.append("%d %d" % (u, v))
+    u, v, w = g._upper()
+    if w is None:
+        out = ["%d %d" % e for e in zip(u.tolist(), v.tolist())]
+    else:
+        out = ["%d %d %.17g" % e for e in zip(u.tolist(), v.tolist(), w.tolist())]
     return "\n".join(out) + ("\n" if out else "")
 
 
 def relabel(g, perm):
     """Apply permutation perm (old id -> new id)."""
-    if sorted(perm) != list(range(g.n)):
+    p = np.asarray(perm if isinstance(perm, np.ndarray) else list(perm))
+    if (p.shape != (g.n,) or p.size and p.dtype.kind not in "iu"
+            or not np.array_equal(np.sort(p), np.arange(g.n))):
         raise GraphError("not a permutation of 0..%d" % (g.n - 1))
-    edge_list = [(perm[u], perm[v]) for u, v in g.edges()]
-    weights = None
-    if g.weights is not None:
-        weights = {(perm[u], perm[v]): w for (u, v), w in g.weights.items()}
-    return Graph(g.n, edge_list, weights=weights)
+    u, v, w = g._upper()
+    return Graph._from_arrays(g.n, p[u], p[v], w)
 
 
 def relabel_random(g, seed):
@@ -303,12 +441,13 @@ def _bfs_far(adj, src):
 
 def components_nodes(g):
     """Node sets of connected components (BFS), ascending by smallest member."""
+    adj = g.adj
     seen = set()
     out = []
     for s in range(g.n):
         if s in seen:
             continue
-        _, _, dist = _bfs_far(g.adj, s)
+        _, _, dist = _bfs_far(adj, s)
         seen.update(dist)
         out.append(sorted(dist))
     return out
@@ -319,25 +458,26 @@ def diameter(g):
     sweep) and below a size cap (all-source BFS); sampled above, with a warning."""
     if g.n == 0:
         raise GraphError("diameter of empty graph")
+    adj = g.adj
     best = 0
     sampled = False
     for comp in components_nodes(g):
-        edges_in = sum(len(g.adj[v]) for v in comp) // 2
+        edges_in = sum(len(adj[v]) for v in comp) // 2
         if edges_in == len(comp) - 1:
-            far, _, _ = _bfs_far(g.adj, comp[0])
-            _, ecc, _ = _bfs_far(g.adj, far)
+            far, _, _ = _bfs_far(adj, comp[0])
+            _, ecc, _ = _bfs_far(adj, far)
             best = max(best, ecc)
         elif g.n <= _EXACT_DIAMETER_CAP:
             for v in comp:
-                _, ecc, _ = _bfs_far(g.adj, v)
+                _, ecc, _ = _bfs_far(adj, v)
                 best = max(best, ecc)
         else:
             sampled = True
             rng = random.Random(0)
             srcs = comp if len(comp) <= _DIAMETER_SAMPLES else rng.sample(comp, _DIAMETER_SAMPLES)
             for s in srcs:
-                far, _, _ = _bfs_far(g.adj, s)
-                _, ecc, _ = _bfs_far(g.adj, far)
+                far, _, _ = _bfs_far(adj, s)
+                _, ecc, _ = _bfs_far(adj, far)
                 best = max(best, ecc)
     if sampled:
         warnings.warn("diameter sampled above %d nodes; value is a lower bound"

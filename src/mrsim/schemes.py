@@ -16,7 +16,6 @@ merge_arrays, their merge on that union and the previous state.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
-from itertools import chain
 from math import inf
 from numbers import Real
 
@@ -27,10 +26,10 @@ from .engine import merge_sorted_dedup
 
 
 def _edge_arrays(g, dtype):
-    """Every edge in both directions, as arrays (src, dst) ordered by src."""
-    deg = np.fromiter(map(len, g.adj), np.intp, g.n)
-    dst = np.fromiter(chain.from_iterable(g.adj), dtype, int(deg.sum()))
-    return np.repeat(np.arange(g.n, dtype=dtype), deg), dst
+    """Every edge in both directions, as arrays (src, dst) ordered by src and
+    then dst: the graph's own rows and indices, copied only where they are
+    not already of dtype."""
+    return g.rows.astype(dtype, copy=False), g.indices.astype(dtype, copy=False)
 
 
 def _singletons(g):

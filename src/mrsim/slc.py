@@ -107,12 +107,13 @@ def _forest(g, members):
         raise GraphError("cluster analysis needs edge weights")
     k = len(members)
     idx = {v: i for i, v in enumerate(members)}
+    adj, weights = g.adj, g.weights
     edges = []
     for i, u in enumerate(members):
-        for v in g.adj[u]:
+        for v in adj[u]:
             j = idx.get(v)
             if j is not None and u < v:
-                edges.append((g.weights[u, v], i, j))
+                edges.append((weights[u, v], i, j))
     edges.sort()
     # off[t] is where node t's slice starts inside its parent's.
     size, topw, parent, off = [1] * k, [0.0] * k, [-1] * k, [0] * k

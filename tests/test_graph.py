@@ -1,8 +1,12 @@
 import math
 from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mrsim import engine, schemes
 from mrsim.graph import (
     Graph,
     GraphError,
@@ -76,6 +80,139 @@ def test_graph_validation_errors():
         Graph(2, [(0, 1)], weights={(0, 1): 1.5})
     with pytest.raises(GraphError):
         Graph(3, [(0, 1), (1, 2)], weights={(0, 1): 0.3, (1, 2): 0.3})
+
+
+def test_edge_given_two_weights_is_refused():
+    with pytest.raises(GraphError, match="two weights"):
+        Graph(2, [(0, 1)], weights={(0, 1): 0.5, (1, 0): 0.6})
+
+
+def test_non_integer_ids_and_counts_are_refused():
+    with pytest.raises(GraphError, match="integer"):
+        Graph(2, [(0.5, 1)])
+    with pytest.raises(GraphError, match="integer"):
+        Graph(2, [(0.0, 1.0)])
+    with pytest.raises(GraphError, match="integer"):
+        Graph(3.0, [(0, 1)])
+    with pytest.raises(GraphError, match="permutation"):
+        relabel(gen_path(3), [0.0, 2.0, 1.0])
+    with pytest.raises(GraphError, match="no edge"):
+        gen_path(3, weighted=True).weight(0.5, 1)
+
+
+@st.composite
+def edge_lists(draw, min_n=0, min_edges=0):
+    """(n, edges, weights): distinct edges u < v on 0..n-1, fewer than every
+    pair, and a weight for each, distinct in (0, 1]."""
+    n = draw(st.integers(min_n, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=min_edges,
+                          max_size=max(len(pairs) - 1, min_edges))) if pairs else []
+    weights = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), unique=True,
+                            min_size=len(edges), max_size=len(edges)))
+    return n, edges, weights
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(edge_lists(), st.booleans(), st.data())
+def test_array_build_matches_dict_of_sets(case, weighted, data):
+    """Edges in any order and orientation build the graph a dict of sets
+    describes, and two such builds are equal and hash alike."""
+    n, edges, ws = case
+    ref = {v: set() for v in range(n)}
+    for u, v in edges:
+        ref[u].add(v)
+        ref[v].add(u)
+    ref_weights = dict(zip(edges, ws)) if weighted else None
+
+    def build():
+        order = data.draw(st.permutations(range(len(edges))))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        given_edges = [edges[i][::-1] if f else edges[i] for i, f in zip(order, flips)]
+        weights = {e: ref_weights[tuple(sorted(e))] for e in given_edges} if weighted else None
+        return Graph(n, given_edges, weights=weights)
+
+    g = build()
+    assert g.adj == tuple(tuple(sorted(ref[v])) for v in range(n))
+    assert g.m == len(edges)
+    assert list(g.edges()) == sorted(edges)
+    assert g.weights == ref_weights
+    if weighted:
+        assert g.sorted_edges() == sorted((w, u, v) for (u, v), w in ref_weights.items())
+        assert all(g.weight(v, u) == w for (u, v), w in ref_weights.items())
+    h = build()
+    assert g == h and hash(g) == hash(h)
+    if edges:
+        fewer = Graph(n, edges[1:], weights=dict(zip(edges[1:], ws[1:])) if weighted else None)
+        assert fewer != g
+
+
+FAULTS = ("id out of range", "self-loop", "duplicate", "reversed duplicate",
+          "weight missing", "weight added", "weight out of range", "weight repeated")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(edge_lists(min_n=3, min_edges=2), st.sampled_from(FAULTS), st.data())
+def test_invalid_inputs_refused_by_constructor_and_loader(case, fault, data):
+    """Each fault raises GraphError from Graph(...) and, written as an edge
+    file, from load_edge_list. A file's ids are compacted, so its id out of
+    range is a negative one, and a weight on an edge no weights cover is
+    one written in an unweighted file."""
+    n, edges, ws = case
+    weighted = fault.startswith("weight")
+    i, j = data.draw(st.lists(st.integers(0, len(edges) - 1), min_size=2, max_size=2,
+                              unique=True))
+    u, v = edges[i]
+    lines = [[a, b, w] for (a, b), w in zip(edges, ws)]
+    fresh = next(w for w in (0.5 ** k for k in range(1, 99)) if w not in ws)
+    if fault == "id out of range":
+        edges = edges + [(u, data.draw(st.sampled_from([n, n + 5, -1])))]
+        lines.append([u, -1, fresh])
+    elif fault == "self-loop":
+        edges = edges + [(u, u)]
+        lines.append([u, u, fresh])
+    elif fault in ("duplicate", "reversed duplicate"):
+        dup = (u, v) if fault == "duplicate" else (v, u)
+        edges = edges + [dup]
+        lines.append([dup[0], dup[1], fresh])
+    elif fault == "weight missing":
+        lines[i].pop()
+    elif fault == "weight out of range":
+        lines[i][2] = data.draw(st.sampled_from([0.0, -0.25, 1.5, math.inf, math.nan]))
+    elif fault == "weight repeated":
+        lines[i][2] = lines[j][2]
+    weights = {(a, b): w[0] for a, b, *w in lines if w} if weighted else None
+    if fault == "weight added":
+        pairs = {(a, b) for a in range(n) for b in range(a + 1, n)} - set(edges)
+        weights[min(pairs)] = fresh
+    with pytest.raises(GraphError):
+        Graph(n, edges, weights=weights)
+    if fault == "weight added":
+        weighted = False
+    text = "".join(" ".join(map(repr, line if weighted or fault == "weight added"
+                                    else line[:2])) + "\n" for line in lines)
+    with pytest.raises(GraphError):
+        load_edge_list(text, weighted=weighted)
+
+
+def test_array_readers_leave_lazy_views_unbuilt():
+    """==, hash, m, edges(), sorted_edges(), weight() and the schemes'
+    edge arrays read the CSR arrays alone; only adj and weights build their
+    views. The edge arrays are the graph's own, not a copy."""
+    g = relabel_random(gen_random(50, 0.1, seed=3, weighted=True), 4)[0]
+    h = relabel_random(gen_random(50, 0.1, seed=3, weighted=True), 4)[0]
+    assert g == h and hash(g) == hash(h)
+    assert g.m == len(list(g.edges())) == len(g.sorted_edges())
+    u, v = next(g.edges())
+    assert g.weight(v, u) == g.weight(u, v)
+    src, dst = schemes._edge_arrays(g, engine._id_dtype(g.n))
+    assert src is g.rows and dst is g.indices
+    assert {g._adj, g._weights, h._adj, h._weights} == {None}
+    assert g.adj is g.adj and g.weights is g.weights
+
+
+def test_relabel_random_keeps_its_permutation_stream():
+    assert relabel_random(gen_path(8), 3)[1] == [0, 5, 7, 2, 1, 6, 4, 3]
 
 
 def test_graph_equality_and_hash():
