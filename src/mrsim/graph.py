@@ -14,8 +14,9 @@ fault is a GraphError.
 
 adj (a tuple of neighbor tuples) and weights (a dict keyed by (u, v) with
 u < v) are views built on first use and cached, for the readers that walk
-nodes in Python: the breadth-first searches below, and so the oracle, slc's
-forest and the schemes' per-node hash.
+nodes in Python: the breadth-first searches below, and so the oracle's
+components, and the schemes' per-node hash. slc's forests and the oracle's
+clustering read the arrays.
 """
 
 import math

@@ -47,7 +47,7 @@ def centralized_slc(g, kind, param=None):
     kind is "dist" (param = distance threshold), "size" (param = size cap),
     or "never".
     """
-    if g.weights is None:
+    if g.edge_weights is None:
         raise GraphError("single-linkage clustering needs edge weights")
     ds = DisjointSet(range(g.n))
     alive = {v: True for v in range(g.n)}

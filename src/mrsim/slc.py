@@ -7,10 +7,14 @@ split-repair pass undoes merges the last rounds overshot.
 
 Cluster analysis runs on single-linkage merge forests, all built by one
 Kruskal (_forest) on the subgraph induced by a member list, with the leaves
-laid out so that the members under each node are one slice. A cluster's own
-tree serves Stop_local and the connectivity checks. The stop check and the
-repair read masks over the whole graph's forest: a node is covered when one
-cluster holds its slice, and stands when also not stopped by Stop_local.
+laid out so that the members under each node are one slice. The induced
+edges are gathered from the graph's CSR arrays and sorted by weight there;
+the union-find loop runs over Python lists. A cluster's own tree serves
+Stop_local and the connectivity checks. The stop check and the repair read
+masks over the whole graph's forest: a node is covered when one cluster
+holds its slice, and stands when Stop_local does not stop it. Leaves always
+stand, and Stop_local is monotone up the forest, so a node's standing
+ancestors form a chain up from it.
 
 Cores come off the forest of the whole graph, because a connected set is a
 core (every recursive split gives two mutually nearest halves) exactly when
@@ -26,6 +30,17 @@ A single node is both, and a core is a set whose halves are mutually nearest
 cores, so the two notions agree at every size. Two forest nodes are nested
 or disjoint. So the maximal cores of a cluster are the highest forest nodes
 whose slice lies inside it, and two distinct cores never tie for a node.
+
+Two shortcuts skip the cores. The stop check holds when every leaf's core,
+its highest covered node, is stopped.
+- If some root stands, the check fails. Each leaf under that root has its
+  core under the root too, and a stopped core would stop every node above
+  it, the root included. So that core stands.
+- If the check held on a run's last state, the repair is the set of the
+  forest's highest standing nodes, read with no look at the state. The
+  repair keeps, for each leaf, its highest covered node that stands. The
+  leaf's core is stopped, so the leaf's highest standing ancestor lies
+  strictly under the core and is covered with it. No higher node stands.
 """
 
 from dataclasses import dataclass
@@ -102,31 +117,33 @@ class _Forest:
 
 
 def _forest(g, members):
-    """Kruskal on the subgraph of g induced by the sequence members."""
-    if g.weights is None:
+    """Kruskal on the subgraph of g induced by members, distinct node ids.
+    The induced edges are gathered from g's CSR arrays through one array of
+    entry positions, each edge once (from its lesser end), and taken in
+    ascending weight order; weights are distinct, so no tie needs a rule."""
+    if g.edge_weights is None:
         raise GraphError("cluster analysis needs edge weights")
-    k = len(members)
-    idx = {v: i for i, v in enumerate(members)}
-    adj, weights = g.adj, g.weights
-    edges = []
-    for i, u in enumerate(members):
-        for v in adj[u]:
-            j = idx.get(v)
-            if j is not None and u < v:
-                edges.append((weights[u, v], i, j))
-    edges.sort()
+    members = np.asarray(members, np.intp)
+    k = members.size
+    idx = np.full(g.n, -1, np.intp)
+    idx[members] = np.arange(k)
+    first = g.indptr[members]
+    count = g.indptr[members + 1] - first
+    pos = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+    u, v = g.rows[pos], g.indices[pos]
+    pos = pos[(u < v) & (idx[v] >= 0)]
+    pos = pos[np.argsort(g.edge_weights[pos])]
     # off[t] is where node t's slice starts inside its parent's.
     size, topw, parent, off = [1] * k, [0.0] * k, [-1] * k, [0] * k
     uf = list(range(k))
-
-    def find(x):
-        while uf[x] != x:
-            uf[x] = x = uf[uf[x]]
-        return x
-
     node_of = list(range(k))
-    for w, i, j in edges:
-        ri, rj = find(i), find(j)
+    for w, ri, rj in zip(g.edge_weights[pos].tolist(), idx[g.rows[pos]].tolist(),
+                         idx[g.indices[pos]].tolist()):
+        # Find both roots, halving the paths.
+        while uf[ri] != ri:
+            uf[ri] = ri = uf[uf[ri]]
+        while uf[rj] != rj:
+            uf[rj] = rj = uf[uf[rj]]
         if ri == rj:
             continue
         ta, tb = node_of[ri], node_of[rj]
@@ -137,6 +154,8 @@ def _forest(g, members):
         parent.append(-1)
         off.append(0)
         uf[ri] = rj
+        if len(size) == 2 * k - 1:
+            break  # one tree holds every member: no edge left can merge
     # Parents come after their children, so walking down from the last node
     # places each parent before its children read its lo; roots go end to end.
     lo, at = [0] * len(size), 0
@@ -149,7 +168,9 @@ def _forest(g, members):
     f.size, f.parent, f.lo = (np.array(a, np.intp) for a in (size, parent, lo))
     f.topw = np.array(topw, float)
     f.roots = np.flatnonzero(f.parent < 0)
-    f.order = [members[i] for i in sorted(range(k), key=lo.__getitem__)]
+    order = np.empty(k, np.intp)
+    order[f.lo[:k]] = members
+    f.order = order.tolist()
     return f
 
 
@@ -160,6 +181,8 @@ def _tree(g, c):
         raise GraphError("empty cluster")
     if c[0] < 0 or c[-1] >= g.n:
         raise GraphError("cluster %r has ids outside 0..%d" % (c, g.n - 1))
+    if any(a == b for a, b in zip(c, c[1:])):
+        raise GraphError("cluster %r repeats an id" % (c,))
     f = _forest(g, c)
     if len(f.roots) != 1:
         raise GraphError("cluster %r is not connected" % (c,))
@@ -188,7 +211,18 @@ def _cores(f, lens, ids, pred=None):
     np.maximum.accumulate(reach, out=reach)
     keep = reach[f.lo] >= f.lo + f.size
     if pred is not None:
-        keep &= np.logical_not(pred.stopped(f.size, f.topw))
+        keep &= _standing(f, pred)
+    return _highest(f, keep)
+
+
+def _standing(f, pred):
+    """The nodes of the forest f that Stop_local does not stop, as a mask
+    (a scalar True under 'never')."""
+    return np.logical_not(pred.stopped(f.size, f.topw))
+
+
+def _highest(f, keep):
+    """The nodes of the mask keep over f's nodes whose parent is not kept."""
     # Index -1, a root's parent, reads the appended False.
     return np.flatnonzero(keep & ~np.append(keep, False)[f.parent])
 
@@ -204,7 +238,7 @@ def _graph_forest(g, cache):
     """The whole graph's forest, kept in cache under g."""
     cache = {} if cache is None else cache
     if g not in cache:
-        cache[g] = _forest(g, range(g.n))
+        cache[g] = _forest(g, np.arange(g.n))
     return cache[g]
 
 
@@ -230,28 +264,43 @@ def split_repair(g, c, pred):
     return _clusters(*_connected_cores(g, c, pred))
 
 
-def _grown_cores(g, state, cache, pred=None):
-    """The graph's forest and _cores of the CSR state. Min-propagating growth
-    can hand a node the ids of two far-apart minima, so a grown cluster may
-    be disconnected; that does not change its cores. Repeated clusters and
-    ids set the same reach, and empty clusters none."""
-    lens, ids = state
+def _check_state(g, state):
+    """Raise GraphError unless every id of the CSR state is in 0..n-1 and
+    every node is held by some cluster."""
+    ids = state[1]
     if ids.size and (ids.min() < 0 or ids.max() >= g.n):
         raise GraphError("a cluster has ids outside 0..%d" % (g.n - 1))
-    f = _graph_forest(g, cache)
-    cores = _cores(f, lens, ids, pred)
-    # The highest nodes held, standing or not, partition the held leaves.
-    if f.size[cores].sum() != g.n:
+    held = np.zeros(g.n, bool)
+    held[ids] = True
+    if not held.all():
         raise GraphError("cluster collection does not cover every node")
-    return f, cores
+
+
+def _grown_cores(g, state, cache, pred=None):
+    """The graph's forest and _cores of the CSR state, which must hold every
+    node. Min-propagating growth can hand a node the ids of two far-apart
+    minima, so a grown cluster may be disconnected; that does not change
+    its cores. Repeated clusters and ids set the same reach, and empty
+    clusters none."""
+    _check_state(g, state)
+    f = _graph_forest(g, cache)
+    return f, _cores(f, *state, pred)
 
 
 def stop_round(g, state, pred, cache=None):
     """Global stop on the CSR clusters state = (lens, ids): hand each node
     the largest of the clusters' maximal cores that holds it, read off the
-    graph's merge forest, and require Stop_local on all of them."""
-    f, cores = _grown_cores(g, state, cache)
-    return pred.kind != "never" and bool(pred.stopped(f.size[cores], f.topw[cores]).all())
+    graph's merge forest, and require Stop_local on all of them. The state
+    is checked first, under every predicate. A standing root answers False
+    without the cores (see the module docstring)."""
+    _check_state(g, state)
+    f = _graph_forest(g, cache)
+    if pred.kind == "never":
+        return False
+    stands = _standing(f, pred)
+    if stands[f.roots].any():
+        return False
+    return not stands[_cores(f, *state)].any()
 
 
 @dataclass
@@ -279,7 +328,7 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
     Stop_local holds. Each of those clusters lies inside one of
     centralized_slc's, so the answer can be finer. cache keeps the graph's
     forest."""
-    if g.weights is None:
+    if g.edge_weights is None:
         raise GraphError("single-linkage clustering needs edge weights")
     if algo not in _SLC_SCHEMES:
         raise GraphError("unknown growth scheme %r (choose from %s)"
@@ -289,7 +338,13 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
     cache = {} if cache is None else cache
     res = engine.run(g, _SLC_SCHEMES[algo](), max_rounds,
                      stop=lambda state: stop_round(g, state, pred, cache))
-    clusters = _clusters(*_grown_cores(g, res.final, cache, pred))
+    if res.stopped:
+        # Every core stops, so the repair is the forest's highest standing
+        # nodes (see the module docstring), with no read of the state.
+        f = _graph_forest(g, cache)
+        clusters = _clusters(f, _highest(f, _standing(f, pred)))
+    else:
+        clusters = _clusters(*_grown_cores(g, res.final, cache, pred))
     return SlcResult(algo=algo, stop=str(pred), rounds=res.rounds,
                      converged=res.converged or res.stopped, stopped=res.stopped,
                      per_round=res.per_round, clusters=clusters)

@@ -8,7 +8,7 @@ import pytest
 
 from mrsim import engine, slc
 from mrsim.graph import (Graph, GraphError, gen_complete_binary_tree, gen_path,
-                         gen_random, gen_star)
+                         gen_random, gen_star, relabel_random)
 from mrsim.oracle import centralized_slc, union_find_components
 from mrsim.schemes import HashToMin
 from mrsim.slc import StopPredicate, mcd, run_slc, split_repair, stop_round
@@ -218,14 +218,19 @@ def test_split_repair_matches_centralized_on_whole_components():
 
 
 def test_stop_round_requires_coverage():
-    g = wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.5, 0.2])
-    with pytest.raises(GraphError):
-        stop_round(g, csr([(0, 1)]), StopPredicate("never"))
-    # Ids outside 0..n-1 are rejected, not read as other nodes.
+    """An uncovered node or an id outside 0..n-1 is refused under every
+    predicate: under 'never', which answers False without the cores; under
+    dist:0.95, whose root stands, so the cores are not read either; and
+    under dist:0.5 and size:1, which read them."""
     g = wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.9, 0.15])
-    for bad in ((-1,), (5,)):
-        with pytest.raises(GraphError):
-            stop_round(g, csr([(0, 1, 2, 3), bad]), StopPredicate("dist", 0.5))
+    assert not StopPredicate("dist", 0.95).stopped(4, 0.9)
+    # Ids outside 0..n-1 are rejected, not read as other nodes.
+    bad_states = [[(0, 1)], [(0, 1), (3,)], [], [(0, 1, 2, 3), (-1,)],
+                  [(0, 1, 2, 3), (5,)], [(0, 1), (2, 3, 4)]]
+    for spec in ("never", "dist:0.95", "dist:0.5", "size:1"):
+        for state in bad_states:
+            with pytest.raises(GraphError):
+                stop_round(g, csr(state), StopPredicate.parse(spec))
 
 
 def test_stop_round_cases():
@@ -342,6 +347,27 @@ def test_stop_round_and_run_slc_on_empty_and_single_node_graphs():
             res = run_slc(single, algo, pred, 10)
             assert (res.rounds, res.converged, res.stopped, res.clusters) == (
                 1, True, False, [(0,)])
+
+
+def test_clustering_leaves_lazy_views_unbuilt():
+    """run_slc, stop_round, centralized_slc, mcd, split_repair and
+    StopPredicate.local read the graph's CSR arrays alone: neither the adj
+    nor the weights view gets built."""
+    g = relabel_random(gen_random(50, 0.1, seed=3, weighted=True), 4)[0]
+    for algo in slc._SLC_SCHEMES:
+        for spec in ("size:5", "dist:0.3", "never"):
+            run_slc(g, algo, StopPredicate.parse(spec), 100)
+        run_slc(g, algo, StopPredicate("never"), 1)
+    everyone = csr([range(g.n)])
+    for spec in ("size:5", "dist:1", "never"):
+        pred = StopPredicate.parse(spec)
+        stop_round(g, everyone, pred)
+        centralized_slc(g, pred.kind, pred.param)
+    u, v = next(g.edges())
+    mcd(g, (u, v))
+    split_repair(g, (u, v), StopPredicate("size", 1))
+    StopPredicate("dist", 0.5).local(g, (u, v))
+    assert (g._adj, g._weights) == (None, None)
 
 
 def test_run_slc_builds_one_forest_per_graph(monkeypatch):

@@ -1,7 +1,8 @@
 """Property tests for the clustering on small generated graphs: run_slc
 against the centralized oracle and against a networkx minimum spanning
-forest cut at the distance threshold, and mcd, stop_round and the repair
-against brute-force references written from the definition of a core."""
+forest cut at the distance threshold, mcd, stop_round and the repair
+against brute-force references written from the definition of a core, and
+the array-built merge forest against a Kruskal over adj and weights."""
 
 from math import inf
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrsim import engine
+from mrsim import engine, slc
 from mrsim.graph import Graph, GraphError
 from mrsim.oracle import centralized_slc
 from mrsim.schemes import HashToAll, HashToMin
@@ -295,3 +296,88 @@ def test_split_repair_matches_reference_repair(gc, pred):
         rest = [(v,) for v in range(g.n) if v not in inside]
         want = [r for r in reference_repair(g, [piece] + rest, pred) if r[0] in inside]
         assert split_repair(g, piece, pred) == want, piece
+
+
+def reference_forest(g, members):
+    """Kruskal on the subgraph induced by members, walking g.adj and the
+    g.weights dict with the edges sorted as (w, i, j) tuples, as the
+    forest was first built; the same layout as slc._forest."""
+    k = len(members)
+    idx = {v: i for i, v in enumerate(members)}
+    edges = sorted((g.weights[u, v], i, idx[v]) for i, u in enumerate(members)
+                   for v in g.adj[u] if v in idx and u < v)
+    size, topw, parent, off = [1] * k, [0.0] * k, [-1] * k, [0] * k
+    uf = list(range(k))
+
+    def find(x):
+        while uf[x] != x:
+            x = uf[x]
+        return x
+
+    node_of = list(range(k))
+    for w, i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            continue
+        ta, tb = node_of[ri], node_of[rj]
+        parent[ta] = parent[tb] = node_of[rj] = len(size)
+        off[tb] = size[ta]
+        size.append(size[ta] + size[tb])
+        topw.append(w)
+        parent.append(-1)
+        off.append(0)
+        uf[ri] = rj
+    lo, at = [0] * len(size), 0
+    for t in range(len(size) - 1, -1, -1):
+        if parent[t] < 0:
+            lo[t], at = at, at + size[t]
+        else:
+            lo[t] = lo[parent[t]] + off[t]
+    order = [members[i] for i in sorted(range(k), key=lo.__getitem__)]
+    return {"order": order, "lo": lo, "size": size, "topw": topw, "parent": parent,
+            "roots": [t for t, p in enumerate(parent) if p < 0]}
+
+
+member_lists = st.one_of(weighted_graphs().map(lambda g: (g, range(g.n))), subsets())
+
+
+@FUZZ
+@given(member_lists)
+def test_forest_matches_kruskal_over_adj_and_weights(gm):
+    """The forest gathered from the CSR arrays is the reference's, field by
+    field, on whole graphs and on connected and disconnected node sets."""
+    g, members = gm
+    f = slc._forest(g, members)
+    want = reference_forest(g, members)
+    assert f.order == want["order"]
+    for name in ("lo", "size", "topw", "parent", "roots"):
+        assert getattr(f, name).tolist() == want[name], name
+
+
+@FUZZ
+@given(subsets(), predicates)
+def test_a_repeated_id_is_refused(gc, pred):
+    g, c = gc
+    for bad in (c + c[:1], c[:1] + c):
+        with pytest.raises(GraphError):
+            mcd(g, bad)
+        with pytest.raises(GraphError):
+            split_repair(g, bad, pred)
+        with pytest.raises(GraphError):
+            pred.local(g, bad)
+
+
+@FUZZ
+@given(weighted_graphs(), predicates, st.sampled_from([HashToAll, HashToMin]))
+def test_stopped_run_repair_is_the_general_repair(g, pred, scheme):
+    """A run that stops is repaired from the forest alone. On every stopped
+    run that is the repair read from the last grown state, and the
+    centralized answer."""
+    cache = {}
+    grown = engine.run(g, scheme(), 100,
+                       stop=lambda state: stop_round(g, state, pred, cache))
+    res = run_slc(g, scheme.name, pred, 100)
+    assert (res.stopped, res.rounds) == (grown.stopped, grown.rounds)
+    if res.stopped:
+        general = slc._clusters(*slc._grown_cores(g, grown.final, cache, pred))
+        assert res.clusters == general == centralized_slc(g, pred.kind, pred.param)
