@@ -20,8 +20,10 @@ per-node spec, which unpacks the state for hash and merge and packs their
 result, and _columnar_step for a scheme with hash_arrays, the array form
 of its hash, where the union and the metrics are done with numpy. A
 wrapped scheme without hash_arrays, such as the benchmark's traced runs,
-takes step. Both check every state they are given, so a bad initial state
-fails alike on both.
+takes step. A state is checked where a caller or a scheme hands it in:
+the start state once, as round 0, and each round's merge results (step's,
+packed) or merge_arrays' result. The unions, sorted by construction from
+checked keys and ids, are not re-checked.
 
 _pair_union, a sort of (key, id) codes, is the one pair union: the round's
 union for hash-to-min, both phases of hash-to-min-lb, hash-min and
@@ -96,9 +98,9 @@ def merge_sorted_dedup(seqs):
 def step(g, scheme, state, rnd):
     """Run one map-reduce round of the per-node spec on the CSR state
     (lens, ids): scheme.hash and scheme.merge see each node's cluster as a
-    tuple of ints. Returns the new CSR state and the RoundMetrics."""
+    tuple of ints. Returns merge's results packed and checked, and the
+    RoundMetrics."""
     n = g.n
-    _check_held(rnd, n, *state)
     state = _unpack(state)
     incoming = [None] * n
     messages = 0
@@ -134,7 +136,8 @@ def step(g, scheme, state, rnd):
         c = merge_fn(rnd, v, payloads, state[v])
         new_state[v] = c
         total += len(c)
-    return _pack(new_state, n), RoundMetrics(rnd, messages, volume, max_in, total)
+    return (_check_held(rnd, n, *_pack(new_state, n)),
+            RoundMetrics(rnd, messages, volume, max_in, total))
 
 
 _OUTSIDE = "a state holds an id outside 0..%d"
@@ -152,17 +155,18 @@ def _pack(state, n):
 
 
 def _start(state, n):
-    """The start state as CSR arrays of the engine's dtypes. A tuple of two
-    numpy arrays is a CSR pair (lens, ids), the form RunResult.final has:
-    lens are cast to intp and ids to _id_dtype(n), and a value either cast
-    would change is an EngineFault, as _pack's overflow is. Anything else
-    is a list of clusters, packed. Either form must hold n clusters."""
+    """The start state as CSR arrays of the engine's dtypes, checked as
+    round 0. A tuple of two numpy arrays is a CSR pair (lens, ids), the form
+    RunResult.final has: lens are cast to intp and ids to _id_dtype(n), and
+    a value either cast would change is an EngineFault, as _pack's overflow
+    is. Anything else is a list of clusters, packed. Either form must hold
+    n clusters."""
     if not (isinstance(state, tuple) and len(state) == 2
             and all(isinstance(a, np.ndarray) for a in state)):
         state = [tuple(c) for c in state]
         if len(state) != n:
             raise EngineFault(_COVER % n)
-        return _pack(state, n)
+        return _check_held(0, n, *_pack(state, n))
     lens, ids = state
     if lens.size != n:
         raise EngineFault(_COVER % n)
@@ -173,7 +177,7 @@ def _start(state, n):
     ids = _exact(ids, _id_dtype(n))
     if ids is None:
         raise EngineFault(_OUTSIDE % (n - 1))
-    return lens, ids
+    return _check_held(0, n, lens, ids)
 
 
 def _exact(a, dtype):
@@ -197,13 +201,14 @@ def _same_csr(a, b):
 
 
 def _check_held(rnd, n, lens, ids):
-    """Every held id is in 0..n-1 and every cluster strictly increasing."""
+    """(lens, ids), once every id is in 0..n-1 and every cluster strictly increasing."""
     _check_range(rnd, n, "held id", ids)
     # With every id in range, row * n + id increases strictly over the
     # whole array exactly when every cluster does.
     rows = np.repeat(np.arange(n, dtype=ids.dtype), lens)
     if not (np.diff(rows * n + ids) > 0).all():
         raise EngineFault("round %d: a cluster was not sorted strictly increasing" % rnd)
+    return lens, ids
 
 
 def _check_range(rnd, n, what, a):
@@ -220,10 +225,10 @@ def _columnar_step(g, scheme, state, rnd):
     union is the set of ids sent to it. scheme.merge_arrays(rnd, union,
     state), when the scheme has it, maps the unions and the previous state,
     both CSR, to the new state; otherwise the union is the new state.
-    total_state counts the new state. Checks and metrics match step's."""
+    total_state counts the new state. Checks and metrics match step's, with
+    merge_arrays' result checked as step checks merge's."""
     n = g.n
     lens, ids = state
-    _check_held(rnd, n, lens, ids)
     keys, vals, messages = scheme.hash_arrays(rnd, lens, ids, g)
     _check_range(rnd, n, "key", keys)
     if vals is None:
@@ -235,7 +240,7 @@ def _columnar_step(g, scheme, state, rnd):
         new = _pair_union(n, keys, vals)
     merge_arrays = getattr(scheme, "merge_arrays", None)
     if merge_arrays is not None:
-        new = merge_arrays(rnd, new, state)
+        new = _check_held(rnd, n, *merge_arrays(rnd, new, state))
     return new, RoundMetrics(rnd, int(messages), volume, max_in, new[1].size)
 
 
@@ -356,8 +361,8 @@ def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):
     given, is called after every round with the state's (lens, ids)
     arrays, before the convergence test; when it returns true the run ends
     with stopped=True and converged=False, and export and finalize are
-    skipped. export and final get the last state as held; snapshots are
-    tuples of tuples of Python ints, as _unpack(final).
+    skipped. export and final get the last state as held, checked as every
+    state is; snapshots are tuples of tuples of Python ints, as _unpack(final).
     """
     if max_rounds < 1:
         raise EngineFault("max_rounds must be at least 1")

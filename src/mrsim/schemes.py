@@ -25,13 +25,6 @@ from . import engine
 from .engine import merge_sorted_dedup
 
 
-def _edge_arrays(g, dtype):
-    """Every edge in both directions, as arrays (src, dst) ordered by src and
-    then dst: the graph's own rows and indices, copied only where they are
-    not already of dtype."""
-    return g.rows.astype(dtype, copy=False), g.indices.astype(dtype, copy=False)
-
-
 def _singletons(g):
     """Every node holding only itself, as CSR arrays."""
     return np.ones(g.n, np.intp), np.arange(g.n, dtype=engine._id_dtype(g.n))
@@ -39,10 +32,9 @@ def _singletons(g):
 
 def _closed_neighborhoods(g):
     """Every node holding itself and its neighbors, as CSR arrays."""
-    src, dst = _edge_arrays(g, engine._id_dtype(g.n))
-    own = np.arange(g.n, dtype=dst.dtype)
-    return engine._pair_union(g.n, np.concatenate((src, own)),
-                              np.concatenate((dst, own)))
+    own = np.arange(g.n, dtype=g.indices.dtype)
+    return engine._pair_union(g.n, np.concatenate((g.rows, own)),
+                              np.concatenate((g.indices, own)))
 
 
 def _labels(lens, ids):
@@ -106,7 +98,7 @@ class HashMin(_Scheme):
         message each."""
         held = lens > 0
         label = _labels(lens, ids)
-        src, dst = _edge_arrays(g, ids.dtype)
+        src, dst = g.rows, g.indices
         tell = held[src]
         rows = np.repeat(np.arange(lens.size, dtype=ids.dtype), lens)
         return (np.concatenate((rows, dst[tell])),
@@ -258,7 +250,7 @@ class AlternatingHGTM(_Scheme):
             tails = np.count_nonzero(np.bincount(rows[tail]))
             return np.concatenate((m, gt)), np.concatenate((gt, m)), tails + gt.size
         held = lens > 0
-        src, dst = _edge_arrays(g, ids.dtype)
+        src, dst = g.rows, g.indices
         tell = held[src]
         last = np.zeros(n, ids.dtype)
         last[held] = ids[np.cumsum(lens)[held] - 1]
@@ -326,7 +318,7 @@ class LbHashToMin(HashToMin):
         directions of every edge between two of a kind, and each hub's
         non-hub neighbors given to the holders of their runs."""
         n = g.n
-        src, dst = _edge_arrays(g, engine._id_dtype(n))
+        src, dst = g.rows, g.indices
         hub = np.bincount(src, minlength=n) + 1 > self.tau
         same = hub[src] == hub[dst]
         # Hub-to-non-hub edges, ordered by hub and then by neighbor id. No
@@ -347,12 +339,15 @@ class LbHashToMin(HashToMin):
         ids. Each label starts holding itself and the labels of its members'
         neighbors, and every other node nothing. At the fixpoint each label
         holds its component's minimum first, and every node joins the
-        component of its label."""
+        component of its label. Phase 2 gets the rounds phase 1 left of
+        max_rounds; with none left the run is unconverged."""
+        left = max_rounds - result.rounds
+        if left < 1:
+            return replace(result, converged=False, components=None, phase_split=result.rounds)
         labels = _labels(*result.final)
-        src, dst = _edge_arrays(g, labels.dtype)
-        seed = engine._pair_union(g.n, np.concatenate((labels, labels[src])),
-                                  np.concatenate((labels, labels[dst])))
-        phase2 = engine.run(g, HashToMin(), max_rounds, initial_state=seed)
+        seed = engine._pair_union(g.n, np.concatenate((labels, labels[g.rows])),
+                                  np.concatenate((labels, labels[g.indices])))
+        phase2 = engine.run(g, HashToMin(), left, initial_state=seed)
         top = _labels(*phase2.final)[labels]
         shifted = [replace(m, round=m.round + result.rounds)
                    for m in phase2.per_round]

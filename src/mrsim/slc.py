@@ -44,6 +44,7 @@ its highest covered node, is stopped.
 """
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -58,12 +59,13 @@ class StopPredicate:
 
     def __init__(self, kind, param=None):
         if kind == "dist":
-            if not (isinstance(param, (int, float)) and 0.0 < param <= 1.0):
+            if not (isinstance(param, Real) and 0.0 < param <= 1.0):
                 raise GraphError("distance threshold must be in (0, 1]")
             param = float(param)
         elif kind == "size":
-            if not (isinstance(param, int) and param >= 1):
+            if not (isinstance(param, Integral) and param >= 1):
                 raise GraphError("size threshold must be an integer >= 1")
+            param = int(param)
         elif kind == "never":
             param = None
         else:
@@ -264,25 +266,12 @@ def split_repair(g, c, pred):
     return _clusters(*_connected_cores(g, c, pred))
 
 
-def _check_state(g, state):
-    """Raise GraphError unless every id of the CSR state is in 0..n-1 and
-    every node is held by some cluster."""
-    ids = state[1]
-    if ids.size and (ids.min() < 0 or ids.max() >= g.n):
-        raise GraphError("a cluster has ids outside 0..%d" % (g.n - 1))
-    held = np.zeros(g.n, bool)
-    held[ids] = True
-    if not held.all():
-        raise GraphError("cluster collection does not cover every node")
-
-
 def _grown_cores(g, state, cache, pred=None):
-    """The graph's forest and _cores of the CSR state, which must hold every
-    node. Min-propagating growth can hand a node the ids of two far-apart
-    minima, so a grown cluster may be disconnected; that does not change
-    its cores. Repeated clusters and ids set the same reach, and empty
-    clusters none."""
-    _check_state(g, state)
+    """The graph's forest and _cores of the CSR state, which must pass
+    stop_round's check, as a growth run's last state did. Min-propagating
+    growth can hand a node the ids of two far-apart minima, so a grown
+    cluster may be disconnected; that does not change its cores. Repeated
+    clusters and ids set the same reach, and empty clusters none."""
     f = _graph_forest(g, cache)
     return f, _cores(f, *state, pred)
 
@@ -291,9 +280,16 @@ def stop_round(g, state, pred, cache=None):
     """Global stop on the CSR clusters state = (lens, ids): hand each node
     the largest of the clusters' maximal cores that holds it, read off the
     graph's merge forest, and require Stop_local on all of them. The state
-    is checked first, under every predicate. A standing root answers False
+    is checked first, under every predicate: a GraphError unless every id
+    is in 0..n-1 and every node is held. A standing root answers False
     without the cores (see the module docstring)."""
-    _check_state(g, state)
+    ids = state[1]
+    if ids.size and (ids.min() < 0 or ids.max() >= g.n):
+        raise GraphError("a cluster has ids outside 0..%d" % (g.n - 1))
+    held = np.zeros(g.n, bool)
+    held[ids] = True
+    if not held.all():
+        raise GraphError("cluster collection does not cover every node")
     f = _graph_forest(g, cache)
     if pred.kind == "never":
         return False

@@ -80,10 +80,16 @@ def test_run_verify_has_no_size_cap(capsys):
 
 
 def test_run_unconverged_exit_code(capsys):
-    code, _, err = run_cli(capsys, "run", "--graph", "path:64",
-                           "--algo", "hash-min", "--max-rounds", "5")
-    assert code == 2
-    assert "did not converge" in err
+    # lb's phase 1 on star:10 at tau 1 spends both rounds, leaving phase 2
+    # none.
+    for argv, rounds in [(["path:64", "--algo", "hash-min", "--max-rounds", "5"], 5),
+                         (["star:10", "--algo", "hash-to-min-lb", "--tau", "1",
+                           "--max-rounds", "2"], 2)]:
+        code, out, err = run_cli(capsys, "run", "--graph", *argv)
+        assert code == 2
+        assert "did not converge" in err
+        doc = json.loads(out)
+        assert (doc["rounds"], doc["converged"], doc["components"]) == (rounds, False, None)
 
 
 def test_run_verify_mismatch_exit_code(capsys, monkeypatch):

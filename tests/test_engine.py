@@ -221,6 +221,54 @@ def test_csr_initial_state_of_int64_runs_as_the_list_form():
         assert packed.final[1].dtype == listed.final[1].dtype == np.int32
 
 
+class _BadMergeArrays(HashMin):
+    """hash-min whose merge_arrays hands back the state bad in round 1."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def merge_arrays(self, rnd, new, prev):
+        if rnd == 1:
+            return _csr(self.bad, np.int32)
+        return super().merge_arrays(rnd, new, prev)
+
+
+class _BadMerge(HashMin):
+    """Per-node hash-min whose merge gives node v the cluster bad[v] in
+    round 1."""
+
+    hash_arrays = None
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def merge(self, rnd, v, payloads, prev):
+        if rnd == 1:
+            return self.bad[v]
+        return super().merge(rnd, v, payloads, prev)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ([(0,), (1,), (2, 99), (3,)], "round 1: held id 99 outside 0..3"),
+    ([(0,), (3, 1), (2,), (3,)], "round 1: a cluster was not sorted"),
+])
+@pytest.mark.parametrize("hook", [_BadMergeArrays, _BadMerge])
+def test_hook_output_is_refused_in_the_round_that_made_it(hook, bad, match):
+    """A round-1 merge_arrays or per-node merge result that is out of range
+    or unsorted is an EngineFault in round 1: in a one-round run, in a run
+    that stop would end, and before stop is ever called with it, so no
+    stop, export, finalize or RunResult.final sees it."""
+    g = gen_path(4)
+    with pytest.raises(EngineFault, match=match):
+        run(g, hook(bad), 1)
+    with pytest.raises(EngineFault, match=match):
+        run(g, hook(bad), 10, stop=lambda state: True)
+    seen = []
+    with pytest.raises(EngineFault, match=match):
+        run(g, hook(bad), 10, stop=seen.append)
+    assert seen == []
+
+
 def test_unconverged_run_reports_no_components():
     g = gen_path(64)
     res = run(g, HashMin(), 5)

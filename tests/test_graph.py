@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrsim import engine, schemes
+from mrsim.engine import run
 from mrsim.graph import (
     Graph,
     GraphError,
@@ -21,6 +21,8 @@ from mrsim.graph import (
     relabel,
     relabel_random,
 )
+from mrsim.schemes import make_scheme
+from test_acceptance import ALL_VARIANTS
 
 
 def bfs_dists(g, src):
@@ -196,17 +198,17 @@ def test_invalid_inputs_refused_by_constructor_and_loader(case, fault, data):
 
 
 def test_array_readers_leave_lazy_views_unbuilt():
-    """==, hash, m, edges(), sorted_edges(), weight() and the schemes'
-    edge arrays read the CSR arrays alone; only adj and weights build their
-    views. The edge arrays are the graph's own, not a copy."""
+    """==, hash, m, edges(), sorted_edges(), weight() and the schemes' runs
+    (all seven gate variants) read the CSR arrays alone; only adj and
+    weights build their views."""
     g = relabel_random(gen_random(50, 0.1, seed=3, weighted=True), 4)[0]
     h = relabel_random(gen_random(50, 0.1, seed=3, weighted=True), 4)[0]
     assert g == h and hash(g) == hash(h)
     assert g.m == len(list(g.edges())) == len(g.sorted_edges())
     u, v = next(g.edges())
     assert g.weight(v, u) == g.weight(u, v)
-    src, dst = schemes._edge_arrays(g, engine._id_dtype(g.n))
-    assert src is g.rows and dst is g.indices
+    for name, tau in ALL_VARIANTS:
+        assert run(g, make_scheme(name, tau), 1000).converged, (name, tau)
     assert {g._adj, g._weights, h._adj, h._weights} == {None}
     assert g.adj is g.adj and g.weights is g.weights
 

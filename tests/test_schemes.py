@@ -235,6 +235,12 @@ def test_lb_far_end_path_round_counts():
         res = run(g, make_scheme(name, tau=tau), 1000)
         assert res.converged and res.components == want, (name, tau)
         assert res.rounds == rounds, (name, tau)
+    # Phase 2 gets what phase 1 (301 rounds at tau 1) left of the budget.
+    short = run(g, LbHashToMin(1), 301)
+    assert not short.converged and short.components is None
+    assert short.rounds == short.phase_split == len(short.per_round) == 301
+    exact = run(g, LbHashToMin(1), 302)
+    assert exact.converged and exact.rounds == 302 and exact.components == want
 
 
 def test_all_schemes_agree_on_disconnected_graph():

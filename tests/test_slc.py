@@ -4,6 +4,7 @@ import nothing from mrsim.slc."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mrsim import engine, slc
@@ -37,9 +38,12 @@ def test_stop_predicate_parse_and_str():
     q = StopPredicate.parse("size:100")
     assert (q.kind, q.param) == ("size", 100)
     assert str(q) == "size:100"
-    for kind, param, want in [("never", 5, None), ("dist", 1, 1.0), ("size", 3, 3)]:
+    # numpy numbers pass as the Python numbers they equal.
+    for kind, param, want in [("never", 5, None), ("dist", 1, 1.0), ("size", 3, 3),
+                              ("size", np.int64(5), 5), ("dist", np.float32(0.5), 0.5)]:
         pred = StopPredicate(kind, param)
         assert (pred.kind, pred.param) == (kind, want)
+        assert type(pred.param) is type(want)
 
 
 def test_stop_predicate_rejects_bad_specs():
