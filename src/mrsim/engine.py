@@ -28,7 +28,11 @@ checked keys and ids, are not re-checked.
 _pair_union, a sort of (key, id) codes, is the one pair union: the round's
 union for hash-to-min, both phases of hash-to-min-lb, hash-min and
 hgtm-alt, and also how the schemes build their start states, lb its
-phase-2 state and hgtm-alt its label-round merge. hash-to-all ships whole
+phase-2 state and hgtm-alt its label-round merge. It is two steps: sort the
+codes key * n + id, then drop repeats and take each id as its code less
+key * n. A round reads its peak reducer intake between the two, as the
+longest run of one key in the sorted codes; the other callers skip that.
+hash-to-all ships whole
 clusters, and its union is either a bitset OR, each cluster as
 ceil(n / 64) uint64 words, or a boolean sparse product: the bitset when
 its n rows fit in the held ids, the product otherwise, since on a large
@@ -136,21 +140,24 @@ def step(g, scheme, state, rnd):
         c = merge_fn(rnd, v, payloads, state[v])
         new_state[v] = c
         total += len(c)
-    return (_check_held(rnd, n, *_pack(new_state, n)),
+    return (_check_held(rnd, n, *_pack(new_state, n, rnd)),
             RoundMetrics(rnd, messages, volume, max_in, total))
 
 
-_OUTSIDE = "a state holds an id outside 0..%d"
+_OUTSIDE = "round %d: %s %d outside 0..%d"
 _COVER = "initial state must cover all %d nodes"
 
 
-def _pack(state, n):
-    """A list of clusters as CSR arrays (lens, ids), ids of _id_dtype(n)."""
+def _pack(state, n, rnd=0):
+    """A list of clusters as CSR arrays (lens, ids), ids of _id_dtype(n).
+    An id the dtype cannot hold is an EngineFault of round rnd, named as
+    _check_range names the first id outside 0..n-1."""
     lens = np.fromiter(map(len, state), np.intp, n)
     try:
         ids = np.fromiter(chain.from_iterable(state), _id_dtype(n), int(lens.sum()))
     except OverflowError:
-        raise EngineFault(_OUTSIDE % (n - 1)) from None
+        bad = next(x for x in chain.from_iterable(state) if not 0 <= x < n)
+        raise EngineFault(_OUTSIDE % (rnd, "held id", bad, n - 1)) from None
     return lens, ids
 
 
@@ -158,9 +165,9 @@ def _start(state, n):
     """The start state as CSR arrays of the engine's dtypes, checked as
     round 0. A tuple of two numpy arrays is a CSR pair (lens, ids), the form
     RunResult.final has: lens are cast to intp and ids to _id_dtype(n), and
-    a value either cast would change is an EngineFault, as _pack's overflow
-    is. Anything else is a list of clusters, packed. Either form must hold
-    n clusters."""
+    a value either cast would change is an EngineFault, an id outside
+    0..n-1 with the message _pack gives it. Anything else is a list of
+    clusters, packed. Either form must hold n clusters."""
     if not (isinstance(state, tuple) and len(state) == 2
             and all(isinstance(a, np.ndarray) for a in state)):
         state = [tuple(c) for c in state]
@@ -171,13 +178,13 @@ def _start(state, n):
     if lens.size != n:
         raise EngineFault(_COVER % n)
     lens = _exact(lens, np.intp)
-    if lens is None or (lens < 0).any() or lens.sum() != ids.size:
-        raise EngineFault("initial state's lens must be whole numbers at least 0"
-                          " that sum to its %d ids" % ids.size)
-    ids = _exact(ids, _id_dtype(n))
-    if ids is None:
-        raise EngineFault(_OUTSIDE % (n - 1))
-    return _check_held(0, n, lens, ids)
+    if lens is None:
+        raise EngineFault("initial state's lens must be whole numbers")
+    cast = _exact(ids, _id_dtype(n))
+    if cast is None:
+        _check_range(0, n, "held id", ids)
+        raise EngineFault("initial state's ids must be whole numbers")
+    return _check_held(0, n, lens, cast)
 
 
 def _exact(a, dtype):
@@ -201,12 +208,24 @@ def _same_csr(a, b):
 
 
 def _check_held(rnd, n, lens, ids):
-    """(lens, ids), once every id is in 0..n-1 and every cluster strictly increasing."""
+    """(lens, ids), once lens are n integers at least 0 that sum to ids.size,
+    every id is in 0..n-1 and every cluster is strictly increasing."""
+    if lens.dtype.kind not in "iu":
+        raise EngineFault("round %d: lens of dtype %s, not integers" % (rnd, lens.dtype))
+    if lens.size != n:
+        raise EngineFault("round %d: %d lens for %d nodes" % (rnd, lens.size, n))
+    if n and lens.min() < 0:
+        raise EngineFault("round %d: lens holds %d, below 0" % (rnd, lens.min()))
+    if lens.sum() != ids.size:
+        raise EngineFault("round %d: lens sum to %d, not to the %d ids"
+                          % (rnd, lens.sum(), ids.size))
     _check_range(rnd, n, "held id", ids)
     # With every id in range, row * n + id increases strictly over the
     # whole array exactly when every cluster does.
-    rows = np.repeat(np.arange(n, dtype=ids.dtype), lens)
-    if not (np.diff(rows * n + ids) > 0).all():
+    code = np.arange(n, dtype=ids.dtype).repeat(lens)
+    code *= n
+    code += ids
+    if not (code[1:] > code[:-1]).all():
         raise EngineFault("round %d: a cluster was not sorted strictly increasing" % rnd)
     return lens, ids
 
@@ -214,7 +233,7 @@ def _check_held(rnd, n, lens, ids):
 def _check_range(rnd, n, what, a):
     if a.size and (a.min() < 0 or a.max() >= n):
         bad = a[(a < 0) | (a >= n)][0]
-        raise EngineFault("round %d: %s %d outside 0..%d" % (rnd, what, bad, n - 1))
+        raise EngineFault(_OUTSIDE % (rnd, what, bad, n - 1))
 
 
 def _columnar_step(g, scheme, state, rnd):
@@ -235,9 +254,11 @@ def _columnar_step(g, scheme, state, rnd):
         new, volume, max_in = _whole_cluster_union(n, lens, ids, keys)
     else:
         _check_range(rnd, n, "sent id", vals)
-        max_in = int(np.bincount(keys, minlength=n).max()) if n else 0
         volume = keys.size
-        new = _pair_union(n, keys, vals)
+        code, key = _sorted_codes(n, keys, vals)
+        del keys, vals
+        max_in = _longest_run(key)
+        new = _dedup(n, code, key)
     merge_arrays = getattr(scheme, "merge_arrays", None)
     if merge_arrays is not None:
         new = _check_held(rnd, n, *merge_arrays(rnd, new, state))
@@ -245,19 +266,49 @@ def _columnar_step(g, scheme, state, rnd):
 
 
 def _pair_union(n, keys, vals):
-    """The set of vals sent to each key, as CSR (lens, ids): the key * n +
-    val codes sorted with repeats dropped (np.unique, hash-based in numpy
-    2.4, took over 20 times as long on these arrays). keys, an array of its
-    own, is overwritten with the codes; every key and val is in 0..n-1.
-    The temporaries are freed or reused as soon as they are spent, since
-    the pairs can outnumber the ids they leave."""
+    """The set of vals sent to each key, as CSR (lens, ids). keys, an array
+    of its own, is overwritten; every key and val is in 0..n-1. A round
+    takes the same two steps, and reads its peak intake between them."""
+    return _dedup(n, *_sorted_codes(n, keys, vals))
+
+
+def _sorted_codes(n, keys, vals):
+    """The key * n + val codes, sorted, and each code's key. The codes are
+    built in keys, and the sort is numpy's default: np.unique, hash-based
+    in numpy 2.4, took over 20 times as long on these arrays, and a stable
+    sort about 10 times."""
     code = keys
     code *= n
     code += vals
     del keys, vals
     code.sort()
-    code = code[_firsts(code)]
-    return np.bincount(code // n, minlength=n), code % n
+    return code, code // n
+
+
+def _dedup(n, code, key):
+    """CSR (lens, ids) from sorted codes and their keys, repeats dropped.
+    The codes and keys kept are gathered through one array of positions,
+    in range, so take skips its check (mode="clip"). Each id is its code
+    less key * n, written over the kept codes, and key * n over the kept
+    keys once lens are counted from them."""
+    kept = _firsts(code).nonzero()[0]
+    code = code.take(kept, mode="clip")
+    key = key.take(kept, mode="clip")
+    del kept
+    lens = np.bincount(key, minlength=n)
+    key *= n
+    code -= key
+    return lens, code
+
+
+def _longest_run(a):
+    """The length of the longest run of equal values in a sorted array, 0
+    when it is empty: the peak intake of a round whose sorted keys it is."""
+    edge = np.empty(a.size + 1, bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(a[1:], a[:-1], out=edge[1:-1])
+    head = edge.nonzero()[0]
+    return int(np.maximum.reduce(head[1:] - head[:-1], initial=0))
 
 
 def _whole_cluster_union(n, lens, ids, keys):

@@ -17,6 +17,12 @@ u < v) are views built on first use and cached, for the readers that walk
 nodes in Python: the breadth-first searches below, and so the oracle's
 components, and the schemes' per-node hash. slc's forests and the oracle's
 clustering read the arrays.
+
+Both breadth-first searches keep one list of n ints and use a plain list
+as their queue. components_nodes labels each node with the least member of
+its component and groups the nodes by a stable argsort of the labels;
+diameter's searches keep distances, handing the list back all -1 after
+each search so that one list serves every source.
 """
 
 import math
@@ -24,7 +30,6 @@ import numbers
 import operator
 import random
 import warnings
-from collections import deque
 from collections.abc import Mapping
 
 import numpy as np
@@ -423,35 +428,51 @@ def relabel_random(g, seed):
     return relabel(g, perm), perm
 
 
-def _bfs_far(adj, src):
-    """(farthest node, eccentricity, visited set) from src."""
-    dist = {src: 0}
-    q = deque([src])
+def _bfs_far(adj, src, dist):
+    """(farthest node, eccentricity) from src, by a breadth-first search
+    with a list as its queue: far is the first node the search reaches at
+    the greatest distance. dist holds -1 for every node and is handed back
+    so, after serving as the search's distances."""
+    dist[src] = 0
+    queue = [src]
     far, ecc = src, 0
-    while q:
-        x = q.popleft()
+    for x in queue:
         d = dist[x]
         if d > ecc:
             far, ecc = x, d
+        d += 1
         for y in adj[x]:
-            if y not in dist:
-                dist[y] = d + 1
-                q.append(y)
-    return far, ecc, dist
+            if dist[y] < 0:
+                dist[y] = d
+                queue.append(y)
+    for x in queue:
+        dist[x] = -1
+    return far, ecc
 
 
 def components_nodes(g):
-    """Node sets of connected components (BFS), ascending by smallest member."""
+    """The node lists of the connected components, each ascending, ordered
+    by least member. A breadth-first search from each node not yet reached,
+    in increasing order, labels what it reaches with its source, the least
+    member of its component; a stable argsort of the labels then lists the
+    components' nodes in that order."""
+    n = g.n
     adj = g.adj
-    seen = set()
-    out = []
-    for s in range(g.n):
-        if s in seen:
-            continue
-        _, _, dist = _bfs_far(adj, s)
-        seen.update(dist)
-        out.append(sorted(dist))
-    return out
+    label = [-1] * n
+    for s in range(n):
+        if label[s] < 0:
+            label[s] = s
+            queue = [s]
+            for x in queue:
+                for y in adj[x]:
+                    if label[y] < 0:
+                        label[y] = s
+                        queue.append(y)
+    label = np.fromiter(label, np.intp, n)
+    nodes = np.argsort(label, kind="stable").tolist()
+    sizes = np.bincount(label, minlength=n)
+    ends = np.cumsum(sizes[sizes > 0]).tolist()
+    return [nodes[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def diameter(g):
@@ -460,25 +481,26 @@ def diameter(g):
     if g.n == 0:
         raise GraphError("diameter of empty graph")
     adj = g.adj
+    dist = [-1] * g.n
     best = 0
     sampled = False
     for comp in components_nodes(g):
         edges_in = sum(len(adj[v]) for v in comp) // 2
         if edges_in == len(comp) - 1:
-            far, _, _ = _bfs_far(adj, comp[0])
-            _, ecc, _ = _bfs_far(adj, far)
+            far, _ = _bfs_far(adj, comp[0], dist)
+            _, ecc = _bfs_far(adj, far, dist)
             best = max(best, ecc)
         elif g.n <= _EXACT_DIAMETER_CAP:
             for v in comp:
-                _, ecc, _ = _bfs_far(adj, v)
+                _, ecc = _bfs_far(adj, v, dist)
                 best = max(best, ecc)
         else:
             sampled = True
             rng = random.Random(0)
             srcs = comp if len(comp) <= _DIAMETER_SAMPLES else rng.sample(comp, _DIAMETER_SAMPLES)
             for s in srcs:
-                far, _, _ = _bfs_far(adj, s)
-                _, ecc, _ = _bfs_far(adj, far)
+                far, _ = _bfs_far(adj, s, dist)
+                _, ecc = _bfs_far(adj, far, dist)
                 best = max(best, ecc)
     if sampled:
         warnings.warn("diameter sampled above %d nodes; value is a lower bound"

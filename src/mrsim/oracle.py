@@ -18,8 +18,10 @@ def canonical_partition(groups):
 
 
 def union_find_components(g):
-    """Connected components by breadth-first search (graph.components_nodes)."""
-    return canonical_partition(components_nodes(g))
+    """Connected components by breadth-first search: graph.components_nodes,
+    whose lists are already ascending and ordered by least member, as
+    tuples."""
+    return [tuple(c) for c in components_nodes(g)]
 
 
 def _stopped(kind, param, size, max_internal_edge):

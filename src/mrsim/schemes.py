@@ -167,18 +167,28 @@ class HashToMin(_Scheme):
         LbHashToMin sets one) an id greater than the holder v has v as its
         target instead, and that half is a message of its own."""
         held = lens > 0
-        starts = (np.cumsum(lens) - lens)[held]
-        target = np.repeat(ids[starts], lens[held])
-        messages = ids.size
-        big = lens > self.tau
-        if big.any():
-            rows = np.repeat(np.arange(lens.size, dtype=ids.dtype), lens)
-            high = big[rows] & (ids > rows)
-            target[high] = rows[high]
-            messages += np.count_nonzero(np.logical_or.reduceat(high, starts))
-        rest = ids != target
-        return (np.concatenate((target, ids[rest])),
-                np.concatenate((ids, target[rest])), messages)
+        starts = (lens.cumsum() - lens)[held]
+        target = ids[starts].repeat(lens[held])
+        messages = m = ids.size
+        if self.tau != inf:
+            big = lens > self.tau
+            if big.any():
+                rows = np.arange(lens.size, dtype=ids.dtype).repeat(lens)
+                high = big[rows] & (ids > rows)
+                target[high] = rows[high]
+                messages += np.count_nonzero(np.logical_or.reduceat(high, starts))
+        # The pairs (target, id) for every held id, then (id, target) for
+        # every id that is not its own target. Positions from nonzero are
+        # in range, so take can skip its check (mode="clip"), which also
+        # lets it write into out without a buffer.
+        rest = (ids != target).nonzero()[0]
+        keys = np.empty(m + rest.size, ids.dtype)
+        vals = np.empty(m + rest.size, ids.dtype)
+        keys[:m] = target
+        vals[:m] = ids
+        ids.take(rest, out=keys[m:], mode="clip")
+        target.take(rest, out=vals[m:], mode="clip")
+        return keys, vals, messages
 
 
 class AlternatingHGTM(_Scheme):

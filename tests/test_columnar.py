@@ -401,6 +401,55 @@ def test_bitset_union_matches_sparse_product(sends):
     assert new[1].dtype == np.int32 and (volume, max_in) == (want_volume, want_max_in)
 
 
+@st.composite
+def pair_sends(draw):
+    """n and (key, id) pairs on 0..n-1: none at all, n = 1, and pairs sent
+    more than once are all drawn often."""
+    n = draw(st.sampled_from([1, 2]) | st.integers(1, 300))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=300))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=100))
+    pairs = draw(st.permutations(pairs))
+    dtype = engine._id_dtype(n)
+    keys = np.array([k for k, _ in pairs], dtype)
+    vals = np.array([v for _, v in pairs], dtype)
+    return n, keys, vals
+
+
+class _Sends:
+    """A scheme whose every round sends the same (key, id) pairs."""
+
+    name = "sends"
+
+    def __init__(self, keys, vals):
+        self.keys, self.vals = keys, vals
+
+    def hash_arrays(self, rnd, lens, ids, g):
+        return self.keys.copy(), self.vals.copy(), self.keys.size
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(pair_sends())
+def test_pair_round_peak_and_union_match_a_tally(sends):
+    """The round's peak intake is the most pairs any key receives, repeats
+    counted, as np.bincount over the keys gives it, and its union, like
+    _pair_union's, is the set of ids sent to each key."""
+    n, keys, vals = sends
+    want = [set() for _ in range(n)]
+    for k, v in zip(keys.tolist(), vals.tolist()):
+        want[k].add(v)
+    want = tuple(tuple(sorted(c)) for c in want)
+    start = (np.ones(n, np.intp), np.arange(n, dtype=keys.dtype))
+    new, metrics = engine._columnar_step(Graph(n, []), _Sends(keys, vals), start, 1)
+    assert metrics.max_reducer_in == np.bincount(keys, minlength=n).max()
+    assert metrics.node_id_volume == keys.size
+    assert engine._unpack(new) == want and metrics.total_state == sum(map(len, want))
+    assert new[0].dtype == np.intp and new[1].dtype == keys.dtype
+    union = engine._pair_union(n, keys.copy(), vals)
+    assert all(np.array_equal(a, b) for a, b in zip(union, new))
+
+
 def _balls(n, radius):
     """Every node of gen_path(n) holding the ids within radius of it."""
     v = np.arange(n)

@@ -269,6 +269,55 @@ def test_hook_output_is_refused_in_the_round_that_made_it(hook, bad, match):
     assert seen == []
 
 
+class _BadLens(HashMin):
+    """hash-min whose merge_arrays hands back the given lens, with its own
+    ids, in round 1."""
+
+    def __init__(self, lens):
+        self.lens = lens
+
+    def merge_arrays(self, rnd, new, prev):
+        lens, ids = super().merge_arrays(rnd, new, prev)
+        return (self.lens, ids) if rnd == 1 else (lens, ids)
+
+
+@pytest.mark.parametrize("lens, match", [
+    (np.array([1, 1, 2], np.intp), "round 1: 3 lens for 4 nodes"),
+    (np.array([1, 1, 1, 1, 0], np.intp), "round 1: 5 lens for 4 nodes"),
+    (np.array([2, -1, 1, 2], np.intp), "round 1: lens holds -1, below 0"),
+    (np.array([1, 1, 1, 2], np.intp), "round 1: lens sum to 5, not to the 4 ids"),
+    (np.array([1, 1, 1, 0], np.intp), "round 1: lens sum to 3, not to the 4 ids"),
+    (np.ones(4), "round 1: lens of dtype float64, not integers"),
+])
+def test_hook_lens_are_refused_in_the_round_that_made_them(lens, match):
+    """merge_arrays' lens must be n integers at least 0 that sum to its ids.
+    On gen_path(4) hash-min's round-1 state holds 4 ids; lens that break
+    that are an EngineFault of round 1, not a ValueError from np.repeat."""
+    with pytest.raises(EngineFault, match="^%s$" % match):
+        run(gen_path(4), _BadLens(lens), 10)
+
+
+class _HugeMerge(HashMin):
+    """Per-node hash-min whose merge gives every node an id no int32 holds
+    in round 2."""
+
+    hash_arrays = None
+
+    def merge(self, rnd, v, payloads, prev):
+        if rnd == 2:
+            return (2 ** 40,)
+        return super().merge(rnd, v, payloads, prev)
+
+
+def test_id_too_large_for_the_dtype_names_its_round():
+    """An id the id dtype cannot hold is named with its round, as an id
+    just outside 0..n-1 is."""
+    with pytest.raises(EngineFault, match=r"^round 2: held id 1099511627776 outside 0\.\.3$"):
+        run(gen_path(4), _HugeMerge(), 10)
+    with pytest.raises(EngineFault, match=r"^round 0: held id 1099511627776 outside 0\.\.3$"):
+        run(gen_path(4), HashMin(), 10, initial_state=[(0,), (1, 2 ** 40), (2,), (3,)])
+
+
 def test_unconverged_run_reports_no_components():
     g = gen_path(64)
     res = run(g, HashMin(), 5)

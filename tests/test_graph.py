@@ -10,6 +10,7 @@ from mrsim.engine import run
 from mrsim.graph import (
     Graph,
     GraphError,
+    _bfs_far,
     components_nodes,
     diameter,
     dump_edge_list,
@@ -367,8 +368,31 @@ def test_relabel_validates_permutation():
 
 
 def test_components_nodes():
+    """Each component is a list of its nodes ascending, and the lists are
+    ordered by their least member, whatever order the search reaches
+    them in."""
     g = Graph(5, [(0, 1), (3, 4)])
     assert components_nodes(g) == [[0, 1], [2], [3, 4]]
+    assert components_nodes(Graph(0, [])) == []
+    assert components_nodes(Graph(4, [])) == [[0], [1], [2], [3]]
+    g = Graph(9, [(7, 2), (2, 5), (5, 0), (8, 3), (6, 1)])
+    assert components_nodes(g) == [[0, 2, 5, 7], [1, 6], [3, 8], [4]]
+    for seed in range(5):
+        r = relabel_random(gen_random(60, 0.03, seed=seed), seed)[0]
+        comps = components_nodes(r)
+        assert all(c == sorted(c) for c in comps)
+        assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+        assert sorted(v for c in comps for v in c) == list(range(60))
+
+
+def test_bfs_far_is_the_first_node_reached_at_the_greatest_distance():
+    """From 0 the search reaches 1 before 2, so 4, 1's child, before 3;
+    both are at distance 2. The distance list is handed back all -1."""
+    g = Graph(5, [(0, 2), (0, 1), (2, 3), (1, 4)])
+    dist = [-1] * g.n
+    assert _bfs_far(g.adj, 0, dist) == (4, 2)
+    assert _bfs_far(g.adj, 4, dist) == (3, 4)
+    assert dist == [-1] * g.n
 
 
 def test_diameter_exact_small():
