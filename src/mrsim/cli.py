@@ -136,8 +136,6 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
-    makers = {"path": gen_path, "tree": gen_complete_binary_tree}
-    maker = makers[args.family]
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
@@ -148,7 +146,7 @@ def cmd_sweep(args):
                 "max_state_mean", "bound_3VE"])
     exhausted = False
     for n in sizes:
-        g = maker(n)
+        g = parse_graph_spec("%s:%d" % (args.family, n))
         d = diameter(g)
         rounds_worst = 0
         state_maxes = []

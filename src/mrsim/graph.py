@@ -233,10 +233,14 @@ class Graph:
     def weight(self, u, v):
         if self.edge_weights is None:
             raise GraphError("graph is unweighted")
-        if isinstance(u, numbers.Integral) and 0 <= u < self.n:
-            lo, hi = self.indptr[u], self.indptr[u + 1]
-            k = lo + np.searchsorted(self.indices[lo:hi], v)
-            if k < hi and self.indices[k] == v:
+        try:
+            a, b = operator.index(u), operator.index(v)
+        except TypeError:
+            raise GraphError("no edge (%s, %s)" % (u, v)) from None
+        if 0 <= a < self.n and 0 <= b < self.n:
+            lo, hi = self.indptr[a], self.indptr[a + 1]
+            k = lo + np.searchsorted(self.indices[lo:hi], b)
+            if k < hi and self.indices[k] == b:
                 return float(self.edge_weights[k])
         raise GraphError("no edge (%s, %s)" % (u, v))
 

@@ -5,6 +5,8 @@ come from graph's breadth-first search, which graph's diameter also runs, so
 the tests check the schemes against networkx as well, and the benchmark
 against scipy.sparse.csgraph."""
 
+from numbers import Real
+
 from scipy.cluster.hierarchy import DisjointSet
 
 from .graph import GraphError, components_nodes
@@ -25,13 +27,9 @@ def union_find_components(g):
 
 
 def _stopped(kind, param, size, max_internal_edge):
-    if kind == "never":
-        return False
     if kind == "size":
         return size > param
-    if kind == "dist":
-        return max_internal_edge > param
-    raise GraphError("unknown stop predicate kind %r" % kind)
+    return kind == "dist" and max_internal_edge > param
 
 
 def centralized_slc(g, kind, param=None):
@@ -40,37 +38,32 @@ def centralized_slc(g, kind, param=None):
     A cluster only ever merges with the cluster holding the other end of its
     lightest outgoing edge, so scanning edges ascending visits candidate
     merges in the order they would happen. A merge whose result satisfies the
-    stop predicate is rejected and freezes both sides: the blocked cluster's
+    stop predicate is refused and freezes both sides: the blocked cluster's
     nearest neighbor can only grow from there, and the predicate only gets
     more satisfied as clusters grow, so no later merge involving either side
-    is admissible. Frozen sides are emitted as final clusters, read off the
-    DisjointSet's own subsets; the union still proceeds internally only to
-    mark the merged set dead, so no node is emitted twice.
+    is admissible. An edge that reaches a frozen cluster freezes the other
+    side too. A frozen cluster never merges again, so the clusters are the
+    DisjointSet's own sets.
     kind is "dist" (param = distance threshold), "size" (param = size cap),
-    or "never".
+    or "never"; any other kind, or a dist or size param that is not a real
+    number, is a GraphError before any edge is read.
     """
     if g.edge_weights is None:
         raise GraphError("single-linkage clustering needs edge weights")
+    if kind not in ("never", "size", "dist"):
+        raise GraphError("unknown stop predicate kind %r" % (kind,))
+    if kind != "never" and not isinstance(param, Real):
+        raise GraphError("%s threshold must be a real number, got %r" % (kind, param))
     ds = DisjointSet(range(g.n))
-    alive = {v: True for v in range(g.n)}
-    out = []
+    frozen = set()
     for w, u, v in g.sorted_edges():
         ru = ds[u]
         rv = ds[v]
         if ru == rv:
             continue
-        size = ds.subset_size(ru) + ds.subset_size(rv)
-        keep = alive[ru] and alive[rv] and not _stopped(kind, param, size, w)
-        if not keep:
-            if alive[ru]:
-                out.append(ds.subset(ru))
-            if alive[rv]:
-                out.append(ds.subset(rv))
-        alive.pop(ru)
-        alive.pop(rv)
-        ds.merge(u, v)
-        alive[ds[u]] = keep
-    for r, live in alive.items():
-        if live:
-            out.append(ds.subset(r))
-    return canonical_partition(out)
+        if (ru in frozen or rv in frozen
+                or _stopped(kind, param, ds.subset_size(ru) + ds.subset_size(rv), w)):
+            frozen.update((ru, rv))
+        else:
+            ds.merge(ru, rv)
+    return canonical_partition(ds.subsets())

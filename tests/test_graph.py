@@ -99,8 +99,14 @@ def test_non_integer_ids_and_counts_are_refused():
         Graph(3.0, [(0, 1)])
     with pytest.raises(GraphError, match="permutation"):
         relabel(gen_path(3), [0.0, 2.0, 1.0])
-    with pytest.raises(GraphError, match="no edge"):
-        gen_path(3, weighted=True).weight(0.5, 1)
+    weighted = gen_path(3, weighted=True)
+    for u, v in ((0.5, 1), (0, 1.0), (1.0, 0), (0, None), (None, 0), ("0", 1),
+                 (-1, 0), (0, 3), (2 ** 70, 0)):
+        with pytest.raises(GraphError, match="no edge"):
+            weighted.weight(u, v)
+    # Both ends take the integer check of node counts, so a bool or a numpy
+    # integer is its index.
+    assert weighted.weight(True, 0) == weighted.weight(0, np.int64(1)) == weighted.weight(1, 0)
 
 
 @st.composite

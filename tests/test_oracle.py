@@ -99,6 +99,54 @@ def test_centralized_slc_two_component_example():
     assert centralized_slc(g, "size", 3) == [(0, 1, 2), (3, 4)]
 
 
+def test_centralized_slc_checks_its_stop_rule_before_any_edge():
+    """A bad kind or param is refused on every graph, edges or none."""
+    for g in (gen_path(1, weighted=True), gen_path(4, weighted=True)):
+        for kind, param in (("bogus", None), ("bogus", 1), (None, None),
+                            ("size", None), ("size", "3"), ("dist", "x"),
+                            ("dist", None)):
+            with pytest.raises(GraphError):
+                centralized_slc(g, kind, param)
+
+
+def _frozen_example():
+    """A = {0, 1} and C = {2, 3, 4} meet at 0.3 and B = {5, 6} and
+    D = {7, 8, 9} at 0.31; under size:4 both merges are refused, so A, B, C
+    and D freeze. Three edges then join A and B, whose union (4 nodes) the
+    cap alone would allow. The lone node 10 then meets D and is frozen by
+    it, so it cannot take 11, which in turn cannot take 12."""
+    weights = {(0, 1): 0.1, (2, 3): 0.11, (3, 4): 0.12, (5, 6): 0.13,
+               (7, 8): 0.14, (8, 9): 0.15, (1, 2): 0.3, (6, 7): 0.31,
+               (0, 5): 0.4, (1, 6): 0.41, (0, 6): 0.42, (9, 10): 0.5,
+               (10, 11): 0.6, (11, 12): 0.7}
+    return Graph(13, list(weights), weights=weights)
+
+
+def test_frozen_clusters_never_merge_again():
+    g = _frozen_example()
+    cases = {
+        ("size", 4): [(0, 1), (2, 3, 4), (5, 6), (7, 8, 9), (10,), (11,), (12,)],
+        # A + C and B + D fit under 5; their union does not, which freezes
+        # both, and so node 10 in turn.
+        ("size", 5): [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9), (10,), (11,), (12,)],
+        ("dist", 0.45): [(0, 1, 2, 3, 4, 5, 6, 7, 8, 9), (10,), (11,), (12,)],
+        ("never", None): [tuple(range(13))],
+    }
+    for (kind, param), want in cases.items():
+        assert centralized_slc(g, kind, param) == want, (kind, param)
+        for order_seed in range(3):
+            got = mutual_nearest_brute(g, kind, param, random.Random(order_seed))
+            assert got == want, (kind, param, order_seed)
+
+
+def test_centralized_slc_on_edgeless_graphs():
+    for g in (gen_path(1, weighted=True), gen_random(6, 0.0, seed=0, weighted=True),
+              Graph(4, [], weights={})):
+        for kind, param in (("never", None), ("size", 1), ("size", 3),
+                            ("dist", 0.5), ("dist", 1.0)):
+            assert centralized_slc(g, kind, param) == [(v,) for v in range(g.n)]
+
+
 def _stopped(kind, param, size, w):
     if kind == "size":
         return size > param
