@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from collections import deque
 
 import numpy as np
@@ -11,6 +13,7 @@ from mrsim.graph import (
     Graph,
     GraphError,
     _bfs_far,
+    _unique_weights,
     components_nodes,
     diameter,
     dump_edge_list,
@@ -286,6 +289,61 @@ def test_gen_random_deterministic():
     c = gen_random(200, 0.02, seed=8)
     assert a == b
     assert a != c
+
+
+def reference_edges(n, p, seed):
+    """G(n, p)'s edges for 0 < p < 1 by the per-edge loop gen_random once
+    ran: one rng.random() per skip and each pair index unranked in Python.
+    Returns the rows, the columns, and the stream just past the skip that
+    passed the last pair, where gen_random draws its weights."""
+    rng = random.Random(seed)
+    rows, cols = [], []
+    total = n * (n - 1) // 2
+    log1p = math.log(1.0 - p)
+    idx = -1
+    while True:
+        u = rng.random()
+        if u >= 1.0:
+            continue
+        idx += int(math.log(1.0 - u) / log1p) + 1
+        if idx >= total:
+            break
+        # Unrank pair index: row a, then column offset.
+        a = int((2 * n - 1 - math.sqrt((2 * n - 1) ** 2 - 8 * idx)) / 2)
+        before = a * (2 * n - a - 1) // 2
+        while before > idx:
+            a -= 1
+            before = a * (2 * n - a - 1) // 2
+        while before + (n - a - 1) <= idx:
+            before += n - a - 1
+            a += 1
+        rows.append(a)
+        cols.append(a + 1 + (idx - before))
+    return np.asarray(rows, np.int64), np.asarray(cols, np.int64), rng
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 97, 300])
+def test_gen_random_matches_the_per_edge_loop(n):
+    """Equal graphs, and equal weights, so the stream is left where the
+    loop left it."""
+    for p in (0.001, 0.02, 0.5, 0.9):
+        for seed in range(20):
+            rows, cols, rng = reference_edges(n, p, seed)
+            assert gen_random(n, p, seed=seed) == Graph._from_arrays(n, rows, cols)
+            # Each edge once, (u, v) with u < v ascending: the loop's order.
+            u, v, w = gen_random(n, p, seed=seed, weighted=True)._upper()
+            assert np.array_equal(u, rows) and np.array_equal(v, cols), (n, p, seed)
+            assert np.array_equal(w, _unique_weights(rng, rows.size)), (n, p, seed)
+
+
+def test_gen_random_digest():
+    """The components benchmark's dense random, pinned by the sha256 of its
+    CSR arrays."""
+    g = gen_random(2000, 0.02, seed=2)
+    digest = hashlib.sha256(np.asarray(g.indptr, "<i8").tobytes()
+                            + np.asarray(g.indices, "<i4").tobytes()).hexdigest()
+    assert (g.m, digest) == (
+        40074, "58594d3d8a63cd19f117f11b0c1a9828554c7aa9c7d694cde2874f0803e20a4b")
 
 
 def test_gen_random_weights_unique_in_range():
