@@ -53,7 +53,6 @@ from itertools import chain, islice
 from operator import lt
 
 import numpy as np
-from scipy import sparse
 
 from .graph import _id_dtype
 
@@ -338,7 +337,10 @@ def _product_union(n, lens, ids, keys):
     matrix A (A[v, x] when v holds x) and K the same for the keys, the new
     clusters are the rows of K^T A. No (key, id) pair is built, so memory
     stays near the sum of the cluster sizes, not of their squares. The data
-    is bool so that a sum never wraps to 0."""
+    is bool so that a sum never wraps to 0. scipy is imported here, its one
+    use in the engine, so that importing mrsim does not load it."""
+    from scipy import sparse
+
     indptr = np.zeros(n + 1, np.intp)
     np.cumsum(lens, out=indptr[1:])
     ones = np.ones(ids.size, bool)

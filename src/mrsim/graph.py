@@ -18,6 +18,11 @@ nodes in Python: the breadth-first searches below, and so the oracle's
 components, and the schemes' per-node hash. slc's forests and the oracle's
 clustering read the arrays.
 
+gen_random draws G(n, p) by geometric edge skipping from a seeded
+random.Random stream. It reads the stream in bulk, with the same values and
+the same stream position as one rng.random() per skip, and sums and
+unranks the skips in arrays.
+
 Both breadth-first searches keep one list of n ints and use a plain list
 as their queue. components_nodes labels each node with the least member of
 its component and groups the nodes by a stable argsort of the labels;
@@ -40,6 +45,8 @@ _DIAMETER_SAMPLES = 32
 
 # The build, and the engine, code a pair (u, v) as u * n + v in an int64.
 MAX_NODES = math.isqrt(2 ** 63 - 1)
+# gen_random's unranking takes (2n - 1)^2 in an int64 for 0 < p < 1.
+MAX_RANDOM_NODES = (MAX_NODES + 1) // 2
 
 
 class GraphError(Exception):
@@ -326,37 +333,90 @@ def gen_star(n, weighted=False, seed=0):
     return _generated(n, np.zeros(n - 1, np.int64), np.arange(1, n), weighted, seed)
 
 
+def _draws(rng, k):
+    """The next k values rng.random() would return, as a float64 array, and
+    rng left where k calls would leave it. random() builds each value from
+    two 32-bit Mersenne Twister outputs a and b as
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and getrandbits(64 * k) draws the
+    same 2k outputs in the same order, the first in the lowest bits."""
+    words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+
+
+def _edge_indices(rng, total, p):
+    """The pair indices below total that geometric edge skipping (Batagelj
+    and Brandes, 2005) picks with edge probability 0 < p < 1, ascending.
+    Each skip is int(log(1 - u) / log(1 - p)) + 1 for the next draw u of
+    rng; the draws are read in chunks, and rng is left just past the draw
+    whose skip reaches total, as one rng.random() per skip would leave it.
+    Every index stays exact for total < 2**62."""
+    log_q = math.log(1.0 - p)
+    if log_q == 0.0:
+        # 1.0 - p rounds to 1.0, so every skip is of order 1 / p.
+        log_q = math.log1p(-p)
+    # A skip is clipped to total + 1, which still reaches total, so no chunk
+    # of this many positions passes what an int64 holds.
+    most = (2 ** 63 - 1 - total) // (total + 1)
+    parts = []
+    idx = -1
+    while True:
+        mean = (total - idx) * p
+        k = min(int(mean + 4.0 * math.sqrt(mean)) + 8, most)
+        state = rng.getstate()
+        x = 1.0 - _draws(rng, k)
+        # math.log, not np.log, which need not be correctly rounded.
+        x = np.fromiter(map(math.log, x.tolist()), np.float64, k)
+        with np.errstate(over="ignore"):  # a subnormal p: inf, clipped below
+            x /= log_q
+        # A skip of 2**62 or more reaches total; no larger float is cast.
+        skip = np.minimum(x, 2.0 ** 62).astype(np.int64)
+        np.minimum(skip, total, out=skip)
+        pos = idx + np.cumsum(skip + 1)
+        end = int(np.searchsorted(pos, total))
+        if end < k:
+            parts.append(pos[:end])
+            rng.setstate(state)
+            rng.getrandbits(64 * (end + 1))
+            return np.concatenate(parts)
+        parts.append(pos)
+        idx = int(pos[-1])
+
+
+def _unrank(n, idx):
+    """Rows and columns (a, b), a < b, of the pairs at indices idx in the
+    row-major order of the pairs of n nodes, for n up to MAX_RANDOM_NODES.
+    The first guess of each row solves the quadratic for its start in
+    floats; a row is then moved by one, and again, until its start is at
+    most its index and the next row's start is past it."""
+    m = 2 * n - 1
+    a = ((m - np.sqrt((m * m - 8 * idx).astype(np.float64))) / 2).astype(np.int64)
+    while True:
+        before = a * (m - a) // 2
+        move = (before + (n - 1 - a) <= idx).astype(np.int64) - (before > idx)
+        if not move.any():
+            return a, a + 1 + (idx - before)
+        a += move
+
+
 def gen_random(n, p, seed, weighted=False):
-    """G(n, p) by geometric edge skipping; independent of weight draws."""
+    """G(n, p) by geometric edge skipping; independent of weight draws. The
+    skips are computed in arrays from the random.Random(seed) stream read in
+    bulk, the same draws one rng.random() per skip would make, and the
+    weights are drawn from that stream after them. A p so small that
+    1.0 - p rounds to 1.0 draws skips of order 1 / p, so a small graph gets
+    no edge. For 0 < p < 1, n is at most MAX_RANDOM_NODES."""
     n = _require_positive(n)
     if not (0.0 <= p <= 1.0):
         raise GraphError("edge probability %r outside [0, 1]" % p)
     rng = random.Random(seed)
     rows, cols = [], []
-    total = n * (n - 1) // 2
     if p >= 1.0:
         rows, cols = np.triu_indices(n, 1)
     elif p > 0.0:
-        log1p = math.log(1.0 - p)
-        idx = -1
-        while True:
-            u = rng.random()
-            if u >= 1.0:
-                continue
-            idx += int(math.log(1.0 - u) / log1p) + 1
-            if idx >= total:
-                break
-            # Unrank pair index: row a, then column offset.
-            a = int((2 * n - 1 - math.sqrt((2 * n - 1) ** 2 - 8 * idx)) / 2)
-            before = a * (2 * n - a - 1) // 2
-            while before > idx:
-                a -= 1
-                before = a * (2 * n - a - 1) // 2
-            while before + (n - a - 1) <= idx:
-                before += n - a - 1
-                a += 1
-            rows.append(a)
-            cols.append(a + 1 + (idx - before))
+        if n > MAX_RANDOM_NODES:
+            raise GraphError("node count %d above %d, where G(n, p)'s pair unranking "
+                             "overflows int64" % (n, MAX_RANDOM_NODES))
+        rows, cols = _unrank(n, _edge_indices(rng, n * (n - 1) // 2, p))
     rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
     w = _unique_weights(rng, rows.size) if weighted else None
     return Graph._from_arrays(n, rows, cols, w)

@@ -5,9 +5,7 @@ come from graph's breadth-first search, which graph's diameter also runs, so
 the tests check the schemes against networkx as well, and the benchmark
 against scipy.sparse.csgraph."""
 
-from numbers import Real
-
-from scipy.cluster.hierarchy import DisjointSet
+from numbers import Integral, Real
 
 from .graph import GraphError, components_nodes
 
@@ -44,16 +42,22 @@ def centralized_slc(g, kind, param=None):
     is admissible. An edge that reaches a frozen cluster freezes the other
     side too. A frozen cluster never merges again, so the clusters are the
     DisjointSet's own sets.
-    kind is "dist" (param = distance threshold), "size" (param = size cap),
-    or "never"; any other kind, or a dist or size param that is not a real
-    number, is a GraphError before any edge is read.
+    kind is "dist" (param = distance threshold, a real number in (0, 1]),
+    "size" (param = size cap, an integer >= 1), or "never"; any other kind
+    or param is a GraphError before any edge is read. scipy is imported
+    here, so that importing the oracle does not load it.
     """
     if g.edge_weights is None:
         raise GraphError("single-linkage clustering needs edge weights")
     if kind not in ("never", "size", "dist"):
         raise GraphError("unknown stop predicate kind %r" % (kind,))
-    if kind != "never" and not isinstance(param, Real):
-        raise GraphError("%s threshold must be a real number, got %r" % (kind, param))
+    if kind == "dist" and not (isinstance(param, Real) and 0.0 < param <= 1.0):
+        raise GraphError("dist threshold must be a real number in (0, 1], got %r"
+                         % (param,))
+    if kind == "size" and not (isinstance(param, Integral) and param >= 1):
+        raise GraphError("size threshold must be an integer >= 1, got %r" % (param,))
+    from scipy.cluster.hierarchy import DisjointSet
+
     ds = DisjointSet(range(g.n))
     frozen = set()
     for w, u, v in g.sorted_edges():

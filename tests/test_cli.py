@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -13,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mrsim
 from mrsim import engine
 from mrsim.cli import main, parse_graph_spec
 from mrsim.engine import EngineFault
-from mrsim.graph import MAX_NODES, GraphError, diameter, gen_random, load_edge_list
+from mrsim.graph import (MAX_NODES, MAX_RANDOM_NODES, GraphError, diameter, gen_random,
+                         load_edge_list)
 from mrsim.oracle import union_find_components
 
 
@@ -174,6 +179,36 @@ def test_node_counts_past_the_int64_codes_exit_1(capsys):
             assert code == 1 and out == "", argv
             assert err == "error: node count %d above %d, where n * n overflows int64\n" % (
                 n, MAX_NODES)
+
+
+def test_random_with_a_tiny_p_or_past_its_node_limit(capsys):
+    """A p so small that 1.0 - p rounds to 1.0 gives no edge on a small
+    graph, where it once raised ZeroDivisionError; past gen_random's node
+    limit the command exits 1 before anything is drawn."""
+    for p in ("1e-17", "1e-300"):
+        assert run_cli(capsys, "gen", "--graph", "random:10:" + p) == (0, "", "")
+        code, out, err = run_cli(capsys, "run", "--graph", "random:10:" + p, "--verify")
+        assert code == 0 and err == ""
+        assert json.loads(out)["components"] == [[v] for v in range(10)]
+    code, out, err = run_cli(capsys, "gen", "--graph",
+                             "random:%d:1e-30" % (MAX_RANDOM_NODES + 1))
+    assert code == 1 and out == ""
+    assert err.startswith("error: node count %d above %d" % (MAX_RANDOM_NODES + 1,
+                                                             MAX_RANDOM_NODES))
+
+
+def test_start_up_loads_no_scipy():
+    """scipy is imported inside the two functions that use it, the engine's
+    product union and the clustering oracle, so neither importing mrsim nor
+    a run that takes neither loads it."""
+    src = str(Path(mrsim.__file__).resolve().parent.parent)
+    code = ("import sys, mrsim; from mrsim.cli import main; "
+            "assert main(['run', '--graph', 'path:8', '--verify']) == 0; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), "
+            "file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "[]\n")
 
 
 def test_gen_roundtrip_through_file(capsys, tmp_path):

@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 
 from mrsim.engine import run
 from mrsim.graph import (
+    MAX_NODES,
+    MAX_RANDOM_NODES,
     Graph,
     GraphError,
     _bfs_far,
+    _draws,
+    _edge_indices,
     _unique_weights,
+    _unrank,
     components_nodes,
     diameter,
     dump_edge_list,
@@ -281,6 +286,11 @@ def test_gen_random_extremes():
     full = gen_random(9, 1.0, seed=1)
     assert full.m == 9 * 8 // 2
     assert gen_random(1, 0.5, seed=1).m == 0
+    # 1.0 - p rounds to 1.0 below p of about 1.1e-16, where log(1.0 - p)
+    # once divided by zero: the skips are of order 1 / p.
+    for p in (1e-17, 1e-300, 5e-324):
+        for weighted in (False, True):
+            assert gen_random(10, p, seed=0, weighted=weighted).m == 0
 
 
 def test_gen_random_deterministic():
@@ -344,6 +354,88 @@ def test_gen_random_digest():
                             + np.asarray(g.indices, "<i4").tobytes()).hexdigest()
     assert (g.m, digest) == (
         40074, "58594d3d8a63cd19f117f11b0c1a9828554c7aa9c7d694cde2874f0803e20a4b")
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 1000])
+def test_draws_are_the_stream_of_random(k):
+    """_draws(rng, k) is k calls to rng.random(): the same values, and an
+    equal state after, from an odd or even word of the stream."""
+    for seed, skip in ((0, 0), (1, 32), (2, 33)):
+        a, b = random.Random(seed), random.Random(seed)
+        a.getrandbits(skip)
+        b.getrandbits(skip)
+        got = _draws(a, k)
+        assert got.dtype == np.float64
+        assert got.tolist() == [b.random() for _ in range(k)]
+        assert a.getstate() == b.getstate()
+
+
+def exact_unrank(n, idx):
+    """Row and column of pair index idx in Python ints: the row is the
+    largest a whose start a * (2n - 1 - a) / 2 is at most idx, that is, the
+    largest a with (2n - 1 - 2a)^2 >= (2n - 1)^2 - 8 * idx."""
+    m = 2 * n - 1
+    a = (m - (math.isqrt(m * m - 8 * idx - 1) + 1)) // 2
+    return a, a + 1 + idx - a * (m - a) // 2
+
+
+def test_unrank_is_exact_up_to_its_node_limit():
+    n = 7
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    assert [exact_unrank(n, i) for i in range(len(pairs))] == pairs
+    rows, cols = _unrank(n, np.arange(len(pairs)))
+    assert list(zip(rows.tolist(), cols.tolist())) == pairs
+    # The unranking's square is an int64 up to the limit and not past it,
+    # and gen_random refuses a larger n before it draws or builds anything.
+    assert (2 * MAX_RANDOM_NODES - 1) ** 2 < 2 ** 63 <= (2 * MAX_RANDOM_NODES + 1) ** 2
+    for n, p in ((MAX_RANDOM_NODES + 1, 1e-30), (MAX_NODES, 0.5)):
+        with pytest.raises(GraphError, match=str(MAX_RANDOM_NODES)):
+            gen_random(n, p, seed=0)
+    rng = random.Random(0)
+    for n in (2, 3, 1000, 2 ** 26 + 1, MAX_RANDOM_NODES - 1, MAX_RANDOM_NODES):
+        total = n * (n - 1) // 2
+        idx = {0, total // 2, total - 1} | {rng.randrange(total) for _ in range(200)}
+        # Each side of a row's start, at both ends of the triangle.
+        for a in (1, 2, n // 3, n - 3, n - 2):
+            start = a * (2 * n - 1 - a) // 2
+            idx |= {start - 1, start, start + 1}
+        idx = sorted(i for i in idx if 0 <= i < total)
+        rows, cols = _unrank(n, np.array(idx, np.int64))
+        assert list(zip(rows.tolist(), cols.tolist())) == [exact_unrank(n, i) for i in idx]
+
+
+def reference_indices(rng, total, p):
+    """The per-edge loop's pair indices in Python ints, with log1p(-p) where
+    1.0 - p rounds to 1.0."""
+    log_q = math.log(1.0 - p) or math.log1p(-p)
+    out = []
+    idx = -1
+    while True:
+        idx += int(math.log(1.0 - rng.random()) / log_q) + 1
+        if idx >= total:
+            return out
+        out.append(idx)
+
+
+def test_edge_indices_are_exact_for_huge_totals():
+    """Skips that pass 2**53, totals up to the node limit's and past it to
+    2**62 - 1, and a p so small that 1.0 - p rounds to 1.0: the same indices
+    as Python ints give, and the stream left where the loop leaves it."""
+    limit = MAX_RANDOM_NODES * (MAX_RANDOM_NODES - 1) // 2
+    for total, p in ((limit, 1e-17), (limit, 3e-18), (2 ** 62 - 1, 2e-18),
+                     (2 ** 62 - 1, 0.5 ** 62), (10, 1e-17), (10, 1e-300), (0, 0.5),
+                     (1, 0.5), (1000, 0.3), (50, 0.999)):
+        for seed in range(5):
+            a, b = random.Random(seed), random.Random(seed)
+            got = _edge_indices(a, total, p)
+            assert got.dtype == np.int64
+            assert got.tolist() == reference_indices(b, total, p), (total, p, seed)
+            assert a.getstate() == b.getstate()
+    # Skips that overflow a float: no index, and one draw taken.
+    a, b = random.Random(0), random.Random(0)
+    assert _edge_indices(a, 10 ** 6, 5e-324).size == 0
+    b.random()
+    assert a.getstate() == b.getstate()
 
 
 def test_gen_random_weights_unique_in_range():

@@ -3,8 +3,9 @@
 import ast
 import inspect
 import random
-from math import inf
+from math import inf, nan
 
+import numpy as np
 import pytest
 
 import mrsim.oracle
@@ -12,6 +13,7 @@ from mrsim.graph import (Graph, GraphError, gen_path, gen_random, gen_star,
                          relabel_random)
 from mrsim.oracle import (canonical_partition, centralized_slc,
                           union_find_components)
+from mrsim.slc import StopPredicate
 
 
 def test_canonical_partition_sorts_and_drops_empties():
@@ -100,13 +102,27 @@ def test_centralized_slc_two_component_example():
 
 
 def test_centralized_slc_checks_its_stop_rule_before_any_edge():
-    """A bad kind or param is refused on every graph, edges or none."""
-    for g in (gen_path(1, weighted=True), gen_path(4, weighted=True)):
+    """A bad kind or param is refused on every graph, edges or none: the
+    params StopPredicate refuses, a dist outside (0, 1] and a size that is
+    not an integer >= 1, NaN included. The bounds themselves are taken."""
+    for g in (gen_path(1, weighted=True), gen_path(4, weighted=True),
+              gen_path(5, weighted=True)):
         for kind, param in (("bogus", None), ("bogus", 1), (None, None),
                             ("size", None), ("size", "3"), ("dist", "x"),
-                            ("dist", None)):
+                            ("dist", None), ("dist", nan), ("size", nan),
+                            ("size", 2.5), ("size", 2.0), ("size", -1), ("size", 0),
+                            ("size", inf), ("dist", 0.0), ("dist", -0.5),
+                            ("dist", 1.5), ("dist", inf)):
             with pytest.raises(GraphError):
                 centralized_slc(g, kind, param)
+            if kind in ("dist", "size"):
+                with pytest.raises(GraphError):
+                    StopPredicate(kind, param)
+        singletons = [(v,) for v in range(g.n)]
+        assert centralized_slc(g, "dist", 1.0) == union_find_components(g)
+        assert centralized_slc(g, "dist", 5e-324) == singletons
+        assert centralized_slc(g, "size", 1) == singletons
+        assert centralized_slc(g, "size", np.int64(2)) == centralized_slc(g, "size", 2)
 
 
 def _frozen_example():
