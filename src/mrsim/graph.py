@@ -16,12 +16,15 @@ adj (a tuple of neighbor tuples) and weights (a dict keyed by (u, v) with
 u < v) are views built on first use and cached, for the readers that walk
 nodes in Python: the breadth-first searches below, and so the oracle's
 components, and the schemes' per-node hash. slc's forests and the oracle's
-clustering read the arrays.
+clustering read the arrays. A weighted graph's merge forest, which slc
+builds from the arrays, is cached the same way, in a slot that slc fills
+on first use.
 
 gen_random draws G(n, p) by geometric edge skipping from a seeded
-random.Random stream. It reads the stream in bulk, with the same values and
-the same stream position as one rng.random() per skip, and sums and
-unranks the skips in arrays.
+random.Random stream. It reads the stream in bulk, with the same values as
+one rng.random() per skip, and sums and unranks the skips in arrays. A
+weighted build draws its weights from the stream just past the skips, as
+the per-skip loop would.
 
 Both breadth-first searches keep one list of n ints and use a plain list
 as their queue. components_nodes labels each node with the least member of
@@ -134,7 +137,7 @@ class Graph:
     views are described in the module docstring."""
 
     __slots__ = ("n", "indptr", "indices", "rows", "edge_weights", "original_ids",
-                 "_adj", "_weights")
+                 "_adj", "_weights", "_forest")
 
     def __init__(self, n, edges, weights=None, original_ids=None):
         n = _node_count(n)
@@ -202,7 +205,7 @@ class Graph:
         self.n = n
         self.indptr, self.indices, self.rows, self.edge_weights = indptr, indices, rows, w
         self.original_ids = original_ids
-        self._adj = self._weights = None
+        self._adj = self._weights = self._forest = None
 
     @classmethod
     def _from_arrays(cls, n, u, v, w=None, original_ids=None, lines=None):
@@ -347,9 +350,10 @@ def _edge_indices(rng, total, p):
     """The pair indices below total that geometric edge skipping (Batagelj
     and Brandes, 2005) picks with edge probability 0 < p < 1, ascending.
     Each skip is int(log(1 - u) / log(1 - p)) + 1 for the next draw u of
-    rng; the draws are read in chunks, and rng is left just past the draw
-    whose skip reaches total, as one rng.random() per skip would leave it.
-    Every index stays exact for total < 2**62."""
+    rng, so the skips use one draw per index and one more, the draw whose
+    skip reaches total. The draws are read in chunks, and rng is left past
+    the last chunk, which may hold draws no skip used. Every index stays
+    exact for total < 2**62."""
     log_q = math.log(1.0 - p)
     if log_q == 0.0:
         # 1.0 - p rounds to 1.0, so every skip is of order 1 / p.
@@ -362,7 +366,6 @@ def _edge_indices(rng, total, p):
     while True:
         mean = (total - idx) * p
         k = min(int(mean + 4.0 * math.sqrt(mean)) + 8, most)
-        state = rng.getstate()
         x = 1.0 - _draws(rng, k)
         # math.log, not np.log, which need not be correctly rounded.
         x = np.fromiter(map(math.log, x.tolist()), np.float64, k)
@@ -375,8 +378,6 @@ def _edge_indices(rng, total, p):
         end = int(np.searchsorted(pos, total))
         if end < k:
             parts.append(pos[:end])
-            rng.setstate(state)
-            rng.getrandbits(64 * (end + 1))
             return np.concatenate(parts)
         parts.append(pos)
         idx = int(pos[-1])
@@ -417,6 +418,10 @@ def gen_random(n, p, seed, weighted=False):
             raise GraphError("node count %d above %d, where G(n, p)'s pair unranking "
                              "overflows int64" % (n, MAX_RANDOM_NODES))
         rows, cols = _unrank(n, _edge_indices(rng, n * (n - 1) // 2, p))
+        if weighted:
+            # The weights' draws start just past the rows.size + 1 skips.
+            rng = random.Random(seed)
+            rng.getrandbits(64 * (rows.size + 1))
     rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
     w = _unique_weights(rng, rows.size) if weighted else None
     return Graph._from_arrays(n, rows, cols, w)

@@ -3,7 +3,8 @@ independent of the round engine and the hashing schemes: it may import graph
 only, so simulator bugs cannot leak into the expected values. The components
 come from graph's breadth-first search, which graph's diameter also runs, so
 the tests check the schemes against networkx as well, and the benchmark
-against scipy.sparse.csgraph."""
+against scipy.sparse.csgraph. The clustering runs Kruskal over a union-find
+of plain Python lists and loads no scipy."""
 
 from numbers import Integral, Real
 
@@ -41,11 +42,11 @@ def centralized_slc(g, kind, param=None):
     more satisfied as clusters grow, so no later merge involving either side
     is admissible. An edge that reaches a frozen cluster freezes the other
     side too. A frozen cluster never merges again, so the clusters are the
-    DisjointSet's own sets.
+    union-find's own sets. The union-find is three lists (parent, size and
+    frozen, the last two read at roots) with path halving and union by size.
     kind is "dist" (param = distance threshold, a real number in (0, 1]),
     "size" (param = size cap, an integer >= 1), or "never"; any other kind
-    or param is a GraphError before any edge is read. scipy is imported
-    here, so that importing the oracle does not load it.
+    or param is a GraphError before any edge is read.
     """
     if g.edge_weights is None:
         raise GraphError("single-linkage clustering needs edge weights")
@@ -56,18 +57,30 @@ def centralized_slc(g, kind, param=None):
                          % (param,))
     if kind == "size" and not (isinstance(param, Integral) and param >= 1):
         raise GraphError("size threshold must be an integer >= 1, got %r" % (param,))
-    from scipy.cluster.hierarchy import DisjointSet
-
-    ds = DisjointSet(range(g.n))
-    frozen = set()
+    n = g.n
+    parent = list(range(n))
+    size = [1] * n
+    frozen = [False] * n
     for w, u, v in g.sorted_edges():
-        ru = ds[u]
-        rv = ds[v]
-        if ru == rv:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
             continue
-        if (ru in frozen or rv in frozen
-                or _stopped(kind, param, ds.subset_size(ru) + ds.subset_size(rv), w)):
-            frozen.update((ru, rv))
+        if frozen[u] or frozen[v] or _stopped(kind, param, size[u] + size[v], w):
+            frozen[u] = frozen[v] = True
         else:
-            ds.merge(ru, rv)
-    return canonical_partition(ds.subsets())
+            if size[u] < size[v]:
+                u, v = v, u
+            parent[v] = u
+            size[u] += size[v]
+    # Each node's root, found in increasing node order: every set's list is
+    # ascending, and the sets come in the order of their least members.
+    sets = {}
+    for x in range(n):
+        r = x
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        sets.setdefault(r, []).append(x)
+    return [tuple(c) for c in sets.values()]

@@ -11,10 +11,12 @@ laid out so that the members under each node are one slice. The induced
 edges are gathered from the graph's CSR arrays and sorted by weight there;
 the union-find loop runs over Python lists. A cluster's own tree serves
 Stop_local and the connectivity checks. The stop check and the repair read
-masks over the whole graph's forest: a node is covered when one cluster
-holds its slice, and stands when Stop_local does not stop it. Leaves always
-stand, and Stop_local is monotone up the forest, so a node's standing
-ancestors form a chain up from it.
+masks over the whole graph's forest, which is built once per Graph object,
+on first use, and kept on it (the graph is immutable), so every round's
+stop check, the repair and every later run on the graph share it. A node
+is covered when one cluster holds its slice, and stands when Stop_local
+does not stop it. Leaves always stand, and Stop_local is monotone up the
+forest, so a node's standing ancestors form a chain up from it.
 
 Cores come off the forest of the whole graph, because a connected set is a
 core (every recursive split gives two mutually nearest halves) exactly when
@@ -236,27 +238,26 @@ def _clusters(f, nodes):
                   for lo, k in zip(f.lo[nodes].tolist(), f.size[nodes].tolist()))
 
 
-def _graph_forest(g, cache):
-    """The whole graph's forest, kept in cache under g."""
-    cache = {} if cache is None else cache
-    if g not in cache:
-        cache[g] = _forest(g, np.arange(g.n))
-    return cache[g]
+def _graph_forest(g):
+    """The whole graph's forest, built on first use and kept on g, which is
+    immutable, the way its adj and weights views are."""
+    if g._forest is None:
+        g._forest = _forest(g, np.arange(g.n))
+    return g._forest
 
 
-def _connected_cores(g, c, pred=None, cache=None):
+def _connected_cores(g, c, pred=None):
     """The graph's forest and the highest nodes of it inside the connected
     cluster c, or with pred the highest of those that stand."""
     _tree(g, c)
-    f = _graph_forest(g, cache)
+    f = _graph_forest(g)
     return f, _cores(f, np.array([len(c)], np.intp), np.array(c, np.intp), pred)
 
 
-def mcd(g, c, cache=None):
+def mcd(g, c):
     """Minimal core decomposition: the highest nodes of the graph's merge
-    forest inside the connected cluster c, a partition of it. cache keeps
-    the graph's forest."""
-    return _clusters(*_connected_cores(g, c, cache=cache))
+    forest inside the connected cluster c, a partition of it."""
+    return _clusters(*_connected_cores(g, c))
 
 
 def split_repair(g, c, pred):
@@ -266,17 +267,17 @@ def split_repair(g, c, pred):
     return _clusters(*_connected_cores(g, c, pred))
 
 
-def _grown_cores(g, state, cache, pred=None):
+def _grown_cores(g, state, pred=None):
     """The graph's forest and _cores of the CSR state, which must pass
     stop_round's check, as a growth run's last state did. Min-propagating
     growth can hand a node the ids of two far-apart minima, so a grown
     cluster may be disconnected; that does not change its cores. Repeated
     clusters and ids set the same reach, and empty clusters none."""
-    f = _graph_forest(g, cache)
+    f = _graph_forest(g)
     return f, _cores(f, *state, pred)
 
 
-def stop_round(g, state, pred, cache=None):
+def stop_round(g, state, pred):
     """Global stop on the CSR clusters state = (lens, ids): hand each node
     the largest of the clusters' maximal cores that holds it, read off the
     graph's merge forest, and require Stop_local on all of them. The state
@@ -290,7 +291,7 @@ def stop_round(g, state, pred, cache=None):
     held[ids] = True
     if not held.all():
         raise GraphError("cluster collection does not cover every node")
-    f = _graph_forest(g, cache)
+    f = _graph_forest(g)
     if pred.kind == "never":
         return False
     stands = _standing(f, pred)
@@ -322,8 +323,8 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
     first does not, and still returns the repair of its last grown state:
     every node's largest core among the grown clusters, split while
     Stop_local holds. Each of those clusters lies inside one of
-    centralized_slc's, so the answer can be finer. cache keeps the graph's
-    forest."""
+    centralized_slc's, so the answer can be finer. The graph's forest is
+    kept on g; a cache dict, when given, only receives it under g."""
     if g.edge_weights is None:
         raise GraphError("single-linkage clustering needs edge weights")
     if algo not in _SLC_SCHEMES:
@@ -331,16 +332,17 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
                          % (algo, ", ".join(sorted(_SLC_SCHEMES))))
     if max_rounds < 1:
         raise GraphError("max_rounds must be at least 1")
-    cache = {} if cache is None else cache
     res = engine.run(g, _SLC_SCHEMES[algo](), max_rounds,
-                     stop=lambda state: stop_round(g, state, pred, cache))
+                     stop=lambda state: stop_round(g, state, pred))
+    if cache is not None:
+        cache[g] = _graph_forest(g)
     if res.stopped:
         # Every core stops, so the repair is the forest's highest standing
         # nodes (see the module docstring), with no read of the state.
-        f = _graph_forest(g, cache)
+        f = _graph_forest(g)
         clusters = _clusters(f, _highest(f, _standing(f, pred)))
     else:
-        clusters = _clusters(*_grown_cores(g, res.final, cache, pred))
+        clusters = _clusters(*_grown_cores(g, res.final, pred))
     return SlcResult(algo=algo, stop=str(pred), rounds=res.rounds,
                      converged=res.converged or res.stopped, stopped=res.stopped,
                      per_round=res.per_round, clusters=clusters)

@@ -311,9 +311,8 @@ def _exhaustive_core_check(g):
     from mrsim.slc import mcd
     conn = [m for m in range(1, 1 << n) if connected(m)]
     cores = [m for m in conn if brute_core(m)]
-    cache = {}
     for cmask in conn:
-        pieces = mcd(g, members(cmask), cache)
+        pieces = mcd(g, members(cmask))
         pmasks = []
         acc = 0
         for piece in pieces:

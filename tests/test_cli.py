@@ -1,5 +1,6 @@
 """Command line tests: exit codes, output formats, file roundtrips."""
 
+import ast
 import csv
 import io
 import json
@@ -198,17 +199,27 @@ def test_random_with_a_tiny_p_or_past_its_node_limit(capsys):
 
 
 def test_start_up_loads_no_scipy():
-    """scipy is imported inside the two functions that use it, the engine's
-    product union and the clustering oracle, so neither importing mrsim nor
-    a run that takes neither loads it."""
+    """scipy is imported inside the one function that uses it, the engine's
+    product union, so neither importing mrsim nor a run that does not take
+    that union loads it. The clustering oracle is a list union-find, so a
+    verified slc run loads no scipy.cluster module."""
     src = str(Path(mrsim.__file__).resolve().parent.parent)
-    code = ("import sys, mrsim; from mrsim.cli import main; "
-            "assert main(['run', '--graph', 'path:8', '--verify']) == 0; "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), "
-            "file=sys.stderr)")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert (done.returncode, done.stderr) == (0, "[]\n")
+
+    def scipy_after(args):
+        code = ("import sys, mrsim; from mrsim.cli import main; "
+                "assert main(%r) == 0; "
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), "
+                "file=sys.stderr)" % (args,))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src},
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        return ast.literal_eval(done.stderr)
+
+    assert scipy_after(["run", "--graph", "path:8", "--verify"]) == []
+    loaded = scipy_after(["slc", "--graph", "random:80:0.1", "--stop", "dist:0.4",
+                          "--verify"])
+    assert not [m for m in loaded if m.startswith("scipy.cluster")], loaded
 
 
 def test_gen_roundtrip_through_file(capsys, tmp_path):

@@ -548,10 +548,10 @@ def test_run_slc_growth_columnar_matches_per_node(monkeypatch, columnar_rounds):
     seen = []
     real_stop_round = slc.stop_round
 
-    def recording_stop_round(g, state, pred, cache=None):
+    def recording_stop_round(g, state, pred):
         clusters = sorted(set(engine._unpack(state)) - {()})
         seen.append(clusters)
-        return real_stop_round(g, csr(clusters), pred, cache)
+        return real_stop_round(g, csr(clusters), pred)
     monkeypatch.setattr(slc, "stop_round", recording_stop_round)
 
     def runs():

@@ -420,22 +420,29 @@ def reference_indices(rng, total, p):
 def test_edge_indices_are_exact_for_huge_totals():
     """Skips that pass 2**53, totals up to the node limit's and past it to
     2**62 - 1, and a p so small that 1.0 - p rounds to 1.0: the same indices
-    as Python ints give, and the stream left where the loop leaves it."""
+    as Python ints give, from one draw per index and one more, so the loop
+    leaves the stream where gen_random starts its weights."""
+    def used(seed, got):
+        rng = random.Random(seed)
+        rng.getrandbits(64 * (got.size + 1))
+        return rng.getstate()
+
     limit = MAX_RANDOM_NODES * (MAX_RANDOM_NODES - 1) // 2
     for total, p in ((limit, 1e-17), (limit, 3e-18), (2 ** 62 - 1, 2e-18),
                      (2 ** 62 - 1, 0.5 ** 62), (10, 1e-17), (10, 1e-300), (0, 0.5),
                      (1, 0.5), (1000, 0.3), (50, 0.999)):
         for seed in range(5):
-            a, b = random.Random(seed), random.Random(seed)
-            got = _edge_indices(a, total, p)
+            b = random.Random(seed)
+            got = _edge_indices(random.Random(seed), total, p)
             assert got.dtype == np.int64
             assert got.tolist() == reference_indices(b, total, p), (total, p, seed)
-            assert a.getstate() == b.getstate()
+            assert used(seed, got) == b.getstate()
     # Skips that overflow a float: no index, and one draw taken.
-    a, b = random.Random(0), random.Random(0)
-    assert _edge_indices(a, 10 ** 6, 5e-324).size == 0
+    b = random.Random(0)
+    got = _edge_indices(random.Random(0), 10 ** 6, 5e-324)
+    assert got.size == 0
     b.random()
-    assert a.getstate() == b.getstate()
+    assert used(0, got) == b.getstate()
 
 
 def test_gen_random_weights_unique_in_range():

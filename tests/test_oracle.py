@@ -7,6 +7,8 @@ from math import inf, nan
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mrsim.oracle
 from mrsim.graph import (Graph, GraphError, gen_path, gen_random, gen_star,
@@ -234,6 +236,64 @@ def test_centralized_slc_matches_mutual_nearest_merges():
                 got = mutual_nearest_brute(g, kind, param,
                                            random.Random(order_seed))
                 assert got == want, (case, kind, param, order_seed)
+
+
+def disjoint_set_slc(g, kind, param=None):
+    """centralized_slc as it ran on scipy's DisjointSet, kept as the
+    reference for the list union-find: the same edge scan and freeze rule,
+    with scipy's root lookups, subset sizes and subsets."""
+    from scipy.cluster.hierarchy import DisjointSet
+
+    ds = DisjointSet(range(g.n))
+    frozen = set()
+    for w, u, v in g.sorted_edges():
+        ru = ds[u]
+        rv = ds[v]
+        if ru == rv:
+            continue
+        if (ru in frozen or rv in frozen
+                or _stopped(kind, param, ds.subset_size(ru) + ds.subset_size(rv), w)):
+            frozen.update((ru, rv))
+        else:
+            ds.merge(ru, rv)
+    return canonical_partition(ds.subsets())
+
+
+@st.composite
+def weighted_graphs_and_chains(draw, max_n=16):
+    """A weighted graph on 0 to max_n nodes: either of random density (often
+    disconnected or edgeless), or a path through the nodes in a random
+    order, where a refused merge freezes a chain of neighbours. Weights are
+    distinct, in a random order."""
+    n = draw(st.integers(0, max_n))
+    perm = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        edges = list(zip(perm, perm[1:]))
+    else:
+        tenths = draw(st.integers(0, 9))
+        edges = [(perm[u], perm[v]) for u in range(n) for v in range(u + 1, n)
+                 if draw(st.integers(0, 9)) < tenths]
+    ranks = draw(st.permutations(range(len(edges))))
+    return Graph(n, edges, weights={e: (r + 1) / (len(edges) + 1)
+                                    for e, r in zip(edges, ranks)})
+
+
+stop_rules = st.one_of(
+    st.sampled_from([("never", None), ("size", 1), ("dist", 1.0)]),
+    st.tuples(st.just("size"), st.integers(1, 17)),
+    st.tuples(st.just("dist"), st.floats(0.001, 1.0)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(weighted_graphs_and_chains(), stop_rules)
+@example(Graph(0, [], weights={}), ("never", None))
+@example(Graph(1, [], weights={}), ("size", 1))
+@example(Graph(4, [(0, 1), (1, 2), (2, 3)],
+               weights={(0, 1): 0.1, (1, 2): 0.2, (2, 3): 0.3}), ("size", 2))
+@example(_frozen_example(), ("size", 4))
+def test_centralized_slc_matches_the_disjoint_set_reference(g, rule):
+    kind, param = rule
+    assert centralized_slc(g, kind, param) == disjoint_set_slc(g, kind, param)
 
 
 def test_oracle_module_imports_only_the_graph_module():

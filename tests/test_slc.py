@@ -375,8 +375,11 @@ def test_clustering_leaves_lazy_views_unbuilt():
 
 
 def test_run_slc_builds_one_forest_per_graph(monkeypatch):
-    # The stop check of every round and the repair share the whole graph's
-    # merge forest, kept in the cache under the graph.
+    # The whole graph's merge forest is built once per Graph object, on
+    # first use, and kept on it: every round's stop check, both repairs,
+    # later runs under either scheme and any predicate, and mcd,
+    # split_repair and stop_round called directly all share it. A cache
+    # handed to run_slc only receives it.
     builds = []
     forest = slc._forest
 
@@ -385,30 +388,41 @@ def test_run_slc_builds_one_forest_per_graph(monkeypatch):
         return forest(g, members)
 
     monkeypatch.setattr(slc, "_forest", counting)
-    for seed, algo, spec in [(0, "hash-to-min", "never"),
-                             (0, "hash-to-all", "dist:0.3"),
-                             (1, "hash-to-min", "size:6")]:
+    for seed in (0, 2):
         g = gen_random(16, 0.25, seed=seed, weighted=True)
-        pred = StopPredicate.parse(spec)
         builds.clear()
-        assert run_slc(g, algo, pred, 100).rounds > 1
+        stopped = set()
+        for algo in ("hash-to-min", "hash-to-all"):
+            for spec in ("never", "dist:0.3", "size:6"):
+                cache = {}
+                res = run_slc(g, algo, StopPredicate.parse(spec), 100, cache)
+                assert res.rounds > 1
+                stopped.add(res.stopped)
+                assert list(cache) == [g] and cache[g] is g._forest
+        assert stopped == {False, True}
         assert builds == [g.n]
-        cache = {}
+        # Direct calls build only their clusters' own trees.
+        u, v = next(g.edges())
+        mcd(g, (u, v))
+        split_repair(g, (u, v), StopPredicate("size", 1))
+        stop_round(g, csr([range(g.n)]), StopPredicate("dist", 0.5))
+        assert builds == [g.n, 2, 2]
+        # An equal graph built again is another object with its own forest.
+        h = gen_random(16, 0.25, seed=seed, weighted=True)
+        assert h == g and h is not g
         builds.clear()
-        res = run_slc(g, algo, pred, 100, cache)
-        assert builds == [g.n]
-        assert set(cache) == {g}
-        builds.clear()
-        assert run_slc(g, algo, pred, 100, cache) == res
-        assert builds == []
-    # One cache shared by two graphs gives each its own forest.
+        assert run_slc(h, "hash-to-min", StopPredicate("size", 6), 100) == run_slc(
+            g, "hash-to-min", StopPredicate("size", 6), 100)
+        assert builds == [h.n] and h._forest is not g._forest
+    # A graph that mcd sees first builds its forest there, and two graphs
+    # each answer from their own.
     a = wgraph(3, [(0, 1), (1, 2)], [0.1, 0.5])
     b = wgraph(3, [(0, 1), (1, 2)], [0.5, 0.1])
-    cache = {}
-    assert mcd(a, (0, 1), cache) == [(0, 1)]
-    assert mcd(b, (0, 1), cache) == [(0,), (1,)]
-    assert mcd(b, (1, 2), cache) == [(1, 2)]
-    assert set(cache) == {a, b}
+    builds.clear()
+    assert mcd(a, (0, 1)) == [(0, 1)]
+    assert mcd(b, (0, 1)) == [(0,), (1,)]
+    assert mcd(b, (1, 2)) == [(1, 2)]
+    assert builds == [2, 3, 2, 3, 2]
 
 
 def test_run_slc_repair_adds_no_copy_of_the_grown_state():
@@ -417,8 +431,7 @@ def test_run_slc_repair_adds_no_copy_of_the_grown_state():
     for the repair raised this run's traced peak from 71.7 to 90.6 MiB."""
     g = gen_path(3000, weighted=True)
     pred = StopPredicate("size", 20)
-    cache = {}
-    want = run_slc(g, "hash-to-min", pred, 1000, cache)
+    want = run_slc(g, "hash-to-min", pred, 1000)
 
     def peak(fn):
         tracemalloc.start()
@@ -427,7 +440,7 @@ def test_run_slc_repair_adds_no_copy_of_the_grown_state():
         finally:
             tracemalloc.stop()
     grown, base = peak(lambda: engine.run(g, HashToMin(), 1000,
-                                          stop=lambda state: stop_round(g, state, pred, cache)))
-    res, seen = peak(lambda: run_slc(g, "hash-to-min", pred, 1000, cache))
+                                          stop=lambda state: stop_round(g, state, pred)))
+    res, seen = peak(lambda: run_slc(g, "hash-to-min", pred, 1000))
     assert grown.stopped and res.rounds == grown.rounds and res.clusters == want.clusters
     assert seen < base * 1.1 + 2 ** 20, (seen, base)

@@ -373,11 +373,9 @@ def test_stopped_run_repair_is_the_general_repair(g, pred, scheme):
     """A run that stops is repaired from the forest alone. On every stopped
     run that is the repair read from the last grown state, and the
     centralized answer."""
-    cache = {}
-    grown = engine.run(g, scheme(), 100,
-                       stop=lambda state: stop_round(g, state, pred, cache))
+    grown = engine.run(g, scheme(), 100, stop=lambda state: stop_round(g, state, pred))
     res = run_slc(g, scheme.name, pred, 100)
     assert (res.stopped, res.rounds) == (grown.stopped, grown.rounds)
     if res.stopped:
-        general = slc._clusters(*slc._grown_cores(g, grown.final, cache, pred))
+        general = slc._clusters(*slc._grown_cores(g, grown.final, pred))
         assert res.clusters == general == centralized_slc(g, pred.kind, pred.param)
