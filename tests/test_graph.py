@@ -30,8 +30,10 @@ from mrsim.graph import (
     relabel,
     relabel_random,
 )
+from mrsim.oracle import union_find_components
 from mrsim.schemes import make_scheme
 from test_acceptance import ALL_VARIANTS
+from test_oracle import flood_fill
 
 
 def bfs_dists(g, src):
@@ -546,6 +548,77 @@ def test_components_nodes():
         assert all(c == sorted(c) for c in comps)
         assert [c[0] for c in comps] == sorted(c[0] for c in comps)
         assert sorted(v for c in comps for v in c) == list(range(60))
+
+
+def bfs_components_nodes(g):
+    """components_nodes as a breadth-first search over g.adj, kept as the
+    reference: a search from each node not yet reached, in increasing
+    order, labels what it reaches with its source, the least member of its
+    component; a stable argsort of the labels then lists the components'
+    nodes in that order."""
+    n = g.n
+    adj = g.adj
+    label = [-1] * n
+    for s in range(n):
+        if label[s] < 0:
+            label[s] = s
+            queue = [s]
+            for x in queue:
+                for y in adj[x]:
+                    if label[y] < 0:
+                        label[y] = s
+                        queue.append(y)
+    label = np.fromiter(label, np.intp, n)
+    nodes = np.argsort(label, kind="stable").tolist()
+    sizes = np.bincount(label, minlength=n)
+    ends = np.cumsum(sizes[sizes > 0]).tolist()
+    return [nodes[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _numbered_path(order):
+    """The path that visits the nodes in the given order."""
+    return Graph(len(order), list(zip(order, order[1:])))
+
+
+def _zigzag(n):
+    return [i // 2 if i % 2 == 0 else n - 1 - i // 2 for i in range(n)]
+
+
+COMPONENT_GRAPHS = {
+    "path 2^12 relabeled": lambda: relabel_random(gen_path(2 ** 12), 1)[0],
+    "path 2^13 relabeled": lambda: relabel_random(gen_path(2 ** 13), 2)[0],
+    "path 2^15 relabeled": lambda: relabel_random(gen_path(2 ** 15), 3)[0],
+    "path zig-zag": lambda: _numbered_path(_zigzag(4097)),
+    "path descending": lambda: _numbered_path(list(range(4096, -1, -1))),
+    "star hub last": lambda: relabel(gen_star(1001), [1000] + list(range(1000))),
+    "binary tree relabeled": lambda: relabel_random(gen_complete_binary_tree(4095), 4)[0],
+    "sparse random": lambda: gen_random(2000, 0.0005, seed=5),
+    "empty": lambda: Graph(0, []),
+    "one node": lambda: Graph(1, []),
+    "edgeless": lambda: Graph(7, []),
+}
+
+
+def _agrees_with_references(g):
+    comps = components_nodes(g)
+    assert comps == bfs_components_nodes(g)
+    assert [tuple(c) for c in comps] == flood_fill(g) == union_find_components(g)
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENT_GRAPHS))
+def test_components_nodes_matches_the_breadth_first_search(name):
+    """The components, lists and order alike, are those of the
+    breadth-first search and of the oracle tests' flood fill, on long
+    paths under orders that lengthen chains of parents, a star whose hub
+    is the largest id, a tree, many small components and no edges."""
+    _agrees_with_references(COMPONENT_GRAPHS[name]())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(edge_lists())
+def test_components_nodes_matches_the_search_on_small_graphs(case):
+    n, edges, _ = case
+    _agrees_with_references(Graph(n, edges))
 
 
 def test_bfs_far_is_the_first_node_reached_at_the_greatest_distance():
