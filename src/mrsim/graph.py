@@ -1,5 +1,5 @@
 """Undirected graphs on compact integer ids: validation, generators, edge-list I/O,
-random relabeling, and BFS diameters.
+random relabeling, connected components and BFS diameters.
 
 A Graph holds CSR arrays. Node u's neighbors are indices[indptr[u]:indptr[u + 1]],
 ascending; rows[k] is the node whose list holds entry k; and edge_weights, None
@@ -14,11 +14,11 @@ fault is a GraphError.
 
 adj (a tuple of neighbor tuples) and weights (a dict keyed by (u, v) with
 u < v) are views built on first use and cached, for the readers that walk
-nodes in Python: the breadth-first searches below, and so the oracle's
-components, and the schemes' per-node hash. slc's forests and the oracle's
-clustering read the arrays. A weighted graph's merge forest, which slc
-builds from the arrays, is cached the same way, in a slot that slc fills
-on first use.
+nodes in Python: diameter's breadth-first searches and the schemes'
+per-node hash. The components (so the oracle's), slc's forests and the
+oracle's clustering read the arrays. A weighted graph's merge forest,
+which slc builds from the arrays, is cached the same way, in a slot that
+slc fills on first use.
 
 gen_random draws G(n, p) by geometric edge skipping from a seeded
 random.Random stream. It reads the stream in bulk, with the same values as
@@ -26,11 +26,12 @@ one rng.random() per skip, and sums and unranks the skips in arrays. A
 weighted build draws its weights from the stream just past the skips, as
 the per-skip loop would.
 
-Both breadth-first searches keep one list of n ints and use a plain list
-as their queue. components_nodes labels each node with the least member of
-its component and groups the nodes by a stable argsort of the labels;
-diameter's searches keep distances, handing the list back all -1 after
-each search so that one list serves every source.
+components_nodes finds each node's root, its component's least member, by
+a union-find over the upper edges in arrays, and groups the nodes by a
+stable argsort of the roots. diameter's breadth-first searches keep one
+list of n distances and use a plain list as their queue, handing the
+distances back all -1 after each search so that one list serves every
+source; it counts each component's edges from the degrees.
 """
 
 import math
@@ -521,25 +522,32 @@ def _bfs_far(adj, src, dist):
 
 def components_nodes(g):
     """The node lists of the connected components, each ascending, ordered
-    by least member. A breadth-first search from each node not yet reached,
-    in increasing order, labels what it reaches with its source, the least
-    member of its component; a stable argsort of the labels then lists the
-    components' nodes in that order."""
+    by least member. A union-find over the arrays (the hook-and-shortcut
+    scheme of Shiloach and Vishkin, 1982) gives each node's root. Each edge
+    (u, v), u < v, is held as the pair of its ends' roots, and each pass
+    hooks the larger root of every pair under the smaller, takes p = p[p]
+    until nothing changes, moves each pair to its roots' new roots and
+    drops the pairs whose ends now share one. Every parent is at most its
+    node, so each root is its component's least member, and a stable
+    argsort of the roots lists the components' nodes in that order."""
     n = g.n
-    adj = g.adj
-    label = [-1] * n
-    for s in range(n):
-        if label[s] < 0:
-            label[s] = s
-            queue = [s]
-            for x in queue:
-                for y in adj[x]:
-                    if label[y] < 0:
-                        label[y] = s
-                        queue.append(y)
-    label = np.fromiter(label, np.intp, n)
-    nodes = np.argsort(label, kind="stable").tolist()
-    sizes = np.bincount(label, minlength=n)
+    u, v, _ = g._upper()
+    # np.minimum.at is many times slower when its indices and values are
+    # not of p's dtype.
+    u, v = u.astype(np.intp), v.astype(np.intp)
+    p = np.arange(n)
+    while u.size:
+        np.minimum.at(p, np.maximum(u, v), np.minimum(u, v))
+        while True:
+            pp = p[p]
+            if (pp == p).all():
+                break
+            p = pp
+        u, v = p[u], p[v]
+        cross = u != v
+        u, v = u[cross], v[cross]
+    nodes = np.argsort(p, kind="stable").tolist()
+    sizes = np.bincount(p, minlength=n)
     ends = np.cumsum(sizes[sizes > 0]).tolist()
     return [nodes[a:b] for a, b in zip([0] + ends, ends)]
 
@@ -550,11 +558,12 @@ def diameter(g):
     if g.n == 0:
         raise GraphError("diameter of empty graph")
     adj = g.adj
+    degree = np.diff(g.indptr)
     dist = [-1] * g.n
     best = 0
     sampled = False
     for comp in components_nodes(g):
-        edges_in = sum(len(adj[v]) for v in comp) // 2
+        edges_in = int(degree[comp].sum()) // 2
         if edges_in == len(comp) - 1:
             far, _ = _bfs_far(adj, comp[0], dist)
             _, ecc = _bfs_far(adj, far, dist)

@@ -1,10 +1,10 @@
 """Centralized reference answers used for verification. This module must stay
 independent of the round engine and the hashing schemes: it may import graph
 only, so simulator bugs cannot leak into the expected values. The components
-come from graph's breadth-first search, which graph's diameter also runs, so
-the tests check the schemes against networkx as well, and the benchmark
-against scipy.sparse.csgraph. The clustering runs Kruskal over a union-find
-of plain Python lists and loads no scipy."""
+come from graph's union-find over the CSR arrays, which graph's diameter
+also runs, so the tests check the schemes against networkx as well, and the
+benchmark against scipy.sparse.csgraph. The clustering runs Kruskal over a
+union-find of plain Python lists and loads no scipy."""
 
 from numbers import Integral, Real
 
@@ -19,9 +19,9 @@ def canonical_partition(groups):
 
 
 def union_find_components(g):
-    """Connected components by breadth-first search: graph.components_nodes,
-    whose lists are already ascending and ordered by least member, as
-    tuples."""
+    """Connected components by union-find over the graph's arrays:
+    graph.components_nodes, whose lists are already ascending and ordered
+    by least member, as tuples."""
     return [tuple(c) for c in components_nodes(g)]
 
 

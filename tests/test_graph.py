@@ -230,6 +230,14 @@ def test_array_readers_leave_lazy_views_unbuilt():
     assert g.adj is g.adj and g.weights is g.weights
 
 
+def test_components_leave_lazy_views_unbuilt():
+    """components_nodes and the oracle's components read the arrays alone,
+    so a checked run on a long path never builds the adj tuples."""
+    g = relabel_random(gen_path(2 ** 12, weighted=True, seed=1), 2)[0]
+    assert len(components_nodes(g)) == len(union_find_components(g)) == 1
+    assert (g._adj, g._weights) == (None, None)
+
+
 def test_relabel_random_keeps_its_permutation_stream():
     assert relabel_random(gen_path(8), 3)[1] == [0, 5, 7, 2, 1, 6, 4, 3]
 
