@@ -384,10 +384,14 @@ def _bitset_union(n, lens, ids, keys):
     step = max(1, ids.size // (8 * words))
     for a in range(0, n, step):
         block = acc[a:a + step].astype("<u8", copy=False).view(np.uint8)
-        held = np.unpackbits(block, axis=1, bitorder="little")
-        new_lens.append(held.sum(axis=1, dtype=np.intp))
-        new_ids.append(np.nonzero(held)[1].astype(ids.dtype))
-        del block, held
+        held = np.unpackbits(block, axis=1, bitorder="little").view(bool)
+        new_lens.append(np.count_nonzero(held, axis=1))
+        # The block's rows are 64 * words bits wide, so a flat position
+        # modulo that width is its id.
+        at = np.flatnonzero(held)
+        at %= 64 * words
+        new_ids.append(at.astype(ids.dtype))
+        del block, held, at
     return np.concatenate(new_lens), np.concatenate(new_ids)
 
 

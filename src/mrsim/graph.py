@@ -14,11 +14,12 @@ fault is a GraphError.
 
 adj (a tuple of neighbor tuples) and weights (a dict keyed by (u, v) with
 u < v) are views built on first use and cached, for the readers that walk
-nodes in Python: diameter's breadth-first searches and the schemes'
-per-node hash. The components (so the oracle's), slc's forests and the
-oracle's clustering read the arrays. A weighted graph's merge forest,
-which slc builds from the arrays, is cached the same way, in a slot that
-slc fills on first use.
+nodes in Python: the schemes' per-node hash, the tests and the
+benchmark's checks. The components (so the oracle's), diameter, slc's
+forests and the oracle's clustering read the arrays. sorted_edges() (a
+tuple, which the oracle scans once per clustering) and a weighted graph's
+merge forest, which slc builds from the arrays, are cached the same way;
+slc fills the forest's slot on first use.
 
 gen_random draws G(n, p) by geometric edge skipping from a seeded
 random.Random stream. It reads the stream in bulk, with the same values as
@@ -28,10 +29,13 @@ the per-skip loop would.
 
 components_nodes finds each node's root, its component's least member, by
 a union-find over the upper edges in arrays, and groups the nodes by a
-stable argsort of the roots. diameter's breadth-first searches keep one
-list of n distances and use a plain list as their queue, handing the
-distances back all -1 after each search so that one list serves every
-source; it counts each component's edges from the degrees.
+stable argsort of the roots. diameter counts each component's edges from
+the degrees. A cyclic component below the size cap takes a bit-parallel
+all-source search in arrays, or one breadth-first search per node where
+that counts less work; the Python searches walk neighbor tuples cut from
+the CSR arrays for the one call, keep one list of n distances and use a
+plain list as their queue, handing the distances back all -1 after each
+search so that one list serves every source.
 """
 
 import math
@@ -138,7 +142,7 @@ class Graph:
     views are described in the module docstring."""
 
     __slots__ = ("n", "indptr", "indices", "rows", "edge_weights", "original_ids",
-                 "_adj", "_weights", "_forest")
+                 "_adj", "_weights", "_sorted_edges", "_forest")
 
     def __init__(self, n, edges, weights=None, original_ids=None):
         n = _node_count(n)
@@ -206,7 +210,7 @@ class Graph:
         self.n = n
         self.indptr, self.indices, self.rows, self.edge_weights = indptr, indices, rows, w
         self.original_ids = original_ids
-        self._adj = self._weights = self._forest = None
+        self._adj = self._weights = self._sorted_edges = self._forest = None
 
     @classmethod
     def _from_arrays(cls, n, u, v, w=None, original_ids=None, lines=None):
@@ -221,9 +225,7 @@ class Graph:
     def adj(self):
         """Each node's neighbors as a tuple of ints, ascending."""
         if self._adj is None:
-            ids = self.indices.tolist()
-            ptr = self.indptr.tolist()
-            self._adj = tuple(tuple(ids[a:b]) for a, b in zip(ptr, ptr[1:]))
+            self._adj = _neighbors(self.indptr, self.indices)
         return self._adj
 
     @property
@@ -268,12 +270,16 @@ class Graph:
         return zip(u.tolist(), v.tolist())
 
     def sorted_edges(self):
-        """Weighted edges as (w, u, v) ascending by weight."""
+        """Weighted edges as a tuple of (w, u, v), ascending by weight, built
+        on first use and cached."""
         if self.edge_weights is None:
             raise GraphError("graph is unweighted")
-        u, v, w = self._upper()
-        order = np.argsort(w)
-        return list(zip(w[order].tolist(), u[order].tolist(), v[order].tolist()))
+        if self._sorted_edges is None:
+            u, v, w = self._upper()
+            order = np.argsort(w)
+            self._sorted_edges = tuple(zip(w[order].tolist(), u[order].tolist(),
+                                           v[order].tolist()))
+        return self._sorted_edges
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -289,6 +295,13 @@ class Graph:
     def __repr__(self):
         return "Graph(n=%d, m=%d%s)" % (
             self.n, self.m, ", weighted" if self.edge_weights is not None else "")
+
+
+def _neighbors(indptr, indices):
+    """Each node's neighbors as a tuple of ints, cut from the CSR arrays."""
+    ids = indices.tolist()
+    ptr = indptr.tolist()
+    return tuple(tuple(ids[a:b]) for a, b in zip(ptr, ptr[1:]))
 
 
 def _require_positive(n):
@@ -552,34 +565,115 @@ def components_nodes(g):
     return [nodes[a:b] for a, b in zip([0] + ends, ends)]
 
 
+def _component_csr(indptr, indices, comp):
+    """The CSR arrays (ptr, nbr) of the subgraph on comp, an ascending
+    list of a component's nodes, renumbered 0..k-1 in that order."""
+    if len(comp) == indptr.size - 1:
+        return indptr, indices
+    comp = np.asarray(comp)
+    lo = indptr[comp]
+    deg = indptr[comp + 1] - lo
+    ptr = np.zeros(comp.size + 1, np.intp)
+    np.cumsum(deg, out=ptr[1:])
+    pos = np.repeat(lo - ptr[:-1], deg) + np.arange(ptr[-1])
+    return ptr, np.searchsorted(comp, indices[pos])
+
+
+def _eccentricity(ptr, nbr, most):
+    """The eccentricity of node 0 in a connected graph of k >= 2 nodes given
+    as CSR arrays, or None when it passes most: the levels a reached-mask
+    takes to fill when each level ORs every node's neighbors' bits into its
+    own."""
+    heads = ptr[:-1]
+    reached = np.zeros(heads.size, bool)
+    reached[0] = True
+    ecc = 0
+    while not reached.all():
+        if ecc == most:
+            return None
+        reached |= np.logical_or.reduceat(reached[nbr], heads)
+        ecc += 1
+    return ecc
+
+
+def _bitset_diameter(ptr, nbr, low):
+    """The diameter, at least low, of a connected graph of k >= 2 nodes given
+    as CSR arrays, by an all-source search 64 sources to a machine word (the
+    bit-parallel BFS of Akiba, Iwata and Yoshida, 2013). Row x of a k x W
+    uint64 array, W = ceil(k / 64), has bit v set when dist(v, x) is at
+    most the level, and each level ORs every row with its neighbors' rows;
+    the diameter is the first level at which every row is full. The
+    neighbors' rows are gathered for blocks of whole rows of at most
+    max(2m, k * W) // W CSR entries, which one row's k - 1 never passes, so
+    no temporary holds more than max(2m, k * W) words."""
+    k = ptr.size - 1
+    words = -(-k // 64)
+    x = np.arange(k)
+    bits = np.zeros((k, words), np.uint64)
+    bits[x, x >> 6] = np.left_shift(np.uint64(1), (x & 63).astype(np.uint64))
+    full = np.full(words, np.uint64(2 ** 64 - 1))
+    full[-1] >>= np.uint64(-k % 64)
+    most = max(nbr.size, k * words) // words
+    blocks = []
+    a = 0
+    while a < k:
+        b = int(np.searchsorted(ptr, ptr[a] + most, "right")) - 1
+        blocks.append((a, b, nbr[ptr[a]:ptr[b]], ptr[a:b] - ptr[a]))
+        a = b
+    level = 0
+    while level < low or not (bits == full).all():
+        grown = np.empty_like(bits)
+        for a, b, block, heads in blocks:
+            np.bitwise_or(bits[a:b], np.bitwise_or.reduceat(bits.take(block, axis=0), heads),
+                          out=grown[a:b])
+        bits = grown
+        level += 1
+    return level
+
+
 def diameter(g):
     """Longest shortest path over all components. Exact on forests (double
-    sweep) and below a size cap (all-source BFS); sampled above, with a warning."""
+    sweep) and below a size cap (an all-source search, bit-parallel or one
+    breadth-first search per node, whichever counts less work); sampled
+    above, with a warning.
+
+    One sweep of a cyclic component gives an eccentricity e, so its
+    diameter is at most 2e. The bitset takes at most 2e levels of 2m * W
+    word-ORs, and the per-node searches k * (k + 2m) steps, so the bitset
+    runs when 2e * 2m * W <= k * (k + 2m); a long cycle keeps the
+    per-node searches. The sweep stops once e passes that bound, so it
+    costs at most k * (k + 2m) / 2W steps in arrays."""
     if g.n == 0:
         raise GraphError("diameter of empty graph")
-    adj = g.adj
+    adj = None
     degree = np.diff(g.indptr)
     dist = [-1] * g.n
     best = 0
     sampled = False
     for comp in components_nodes(g):
-        edges_in = int(degree[comp].sum()) // 2
-        if edges_in == len(comp) - 1:
-            far, _ = _bfs_far(adj, comp[0], dist)
-            _, ecc = _bfs_far(adj, far, dist)
-            best = max(best, ecc)
-        elif g.n <= _EXACT_DIAMETER_CAP:
-            for v in comp:
-                _, ecc = _bfs_far(adj, v, dist)
-                best = max(best, ecc)
-        else:
+        k = len(comp)
+        ends = int(degree[comp].sum())
+        sweeps = True
+        if ends == 2 * (k - 1):
+            srcs = comp[:1]
+        elif g.n > _EXACT_DIAMETER_CAP:
             sampled = True
             rng = random.Random(0)
-            srcs = comp if len(comp) <= _DIAMETER_SAMPLES else rng.sample(comp, _DIAMETER_SAMPLES)
-            for s in srcs:
-                far, _ = _bfs_far(adj, s, dist)
-                _, ecc = _bfs_far(adj, far, dist)
-                best = max(best, ecc)
+            srcs = comp if k <= _DIAMETER_SAMPLES else rng.sample(comp, _DIAMETER_SAMPLES)
+        else:
+            ptr, nbr = _component_csr(g.indptr, g.indices, comp)
+            ecc = _eccentricity(ptr, nbr, k * (k + ends) // (2 * ends * -(-k // 64)))
+            if ecc is not None:
+                best = max(best, _bitset_diameter(ptr, nbr, ecc))
+                continue
+            srcs, sweeps = comp, False
+        if adj is None:
+            adj = _neighbors(g.indptr, g.indices)
+        for s in srcs:
+            if sweeps:
+                s, _ = _bfs_far(adj, s, dist)
+            _, ecc = _bfs_far(adj, s, dist)
+            best = max(best, ecc)
     if sampled:
         warnings.warn("diameter sampled above %d nodes; value is a lower bound"
                       % _EXACT_DIAMETER_CAP)

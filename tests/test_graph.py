@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import tracemalloc
+import warnings
 from collections import deque
 
 import numpy as np
@@ -12,6 +14,7 @@ from mrsim.engine import run
 from mrsim.graph import (
     MAX_NODES,
     MAX_RANDOM_NODES,
+    _EXACT_DIAMETER_CAP,
     Graph,
     GraphError,
     _bfs_far,
@@ -69,7 +72,8 @@ def test_graph_weighted_accessors():
     g = Graph(3, [(0, 1), (1, 2)], weights={(1, 0): 0.5, (1, 2): 0.25})
     assert g.weight(0, 1) == 0.5
     assert g.weight(1, 0) == 0.5
-    assert g.sorted_edges() == [(0.25, 1, 2), (0.5, 0, 1)]
+    assert g.sorted_edges() == ((0.25, 1, 2), (0.5, 0, 1))
+    assert g.sorted_edges() is g.sorted_edges()
     with pytest.raises(GraphError):
         g.weight(0, 2)
     with pytest.raises(GraphError):
@@ -157,7 +161,7 @@ def test_array_build_matches_dict_of_sets(case, weighted, data):
     assert list(g.edges()) == sorted(edges)
     assert g.weights == ref_weights
     if weighted:
-        assert g.sorted_edges() == sorted((w, u, v) for (u, v), w in ref_weights.items())
+        assert g.sorted_edges() == tuple(sorted((w, u, v) for (u, v), w in ref_weights.items()))
         assert all(g.weight(v, u) == w for (u, v), w in ref_weights.items())
     h = build()
     assert g == h and hash(g) == hash(h)
@@ -661,9 +665,91 @@ def test_diameter_errors_and_sampling():
 
 
 def test_diameter_exact_on_big_forest_no_warning():
-    import warnings
-
     g = gen_path(2 ** 14)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert diameter(g) == 2 ** 14 - 1
+
+
+def _cycle(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _complete(n):
+    return gen_random(n, 1.0, seed=0)
+
+
+def _union(n, *parts):
+    """The disjoint union of the parts, placed one after another, on n
+    nodes; the nodes past the last part are isolated."""
+    edges, base = [], 0
+    for part in parts:
+        edges += [(u + base, v + base) for u, v in part.edges()]
+        base += part.n
+    return Graph(n, edges)
+
+
+def _matches_the_search(g):
+    """diameter(g) equals the per-source search of brute_diameter, and
+    reads the CSR arrays alone."""
+    got = diameter(g)
+    assert g._adj is None
+    assert got == brute_diameter(g)
+    return got
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_diameter_matches_the_search_around_word_widths(n):
+    """Complete graphs, cycles (the short ones take the bitset, the long
+    ones the per-node searches) and slc-style weighted randoms, on a word's
+    worth of nodes and either side of it."""
+    assert _matches_the_search(_complete(n)) == 1
+    assert _matches_the_search(_cycle(n)) == n // 2
+    for seed in range(3):
+        _matches_the_search(gen_random(n, min(0.5, 6.5 / n), seed=seed, weighted=True))
+        _matches_the_search(gen_random(n, 0.03, seed=seed))
+
+
+def test_diameter_mixes_tree_and_cyclic_components():
+    """A long tree beside short cyclic components, a long cycle beside short
+    trees, and cyclic components of different diameters with the longest in
+    the middle; each cyclic component is searched on its own nodes."""
+    short = [_cycle(5), _complete(9), gen_random(70, 0.1, seed=4)]
+    assert _matches_the_search(_union(400, *short, gen_path(150), gen_star(6))) == 149
+    assert _matches_the_search(_union(300, gen_path(7), _cycle(150), gen_star(9))) == 75
+    assert _matches_the_search(
+        _union(400, _cycle(12), _complete(65), _cycle(64), _cycle(41), gen_path(3))) == 32
+
+
+def test_diameter_is_exact_at_the_size_cap():
+    """A graph of exactly _EXACT_DIAMETER_CAP nodes with cyclic components
+    gets the exact search and no warning; one node more is sampled."""
+    parts = (gen_random(100, 0.03, seed=1), _cycle(30))
+    g = _union(_EXACT_DIAMETER_CAP, *parts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _matches_the_search(g)
+    with pytest.warns(UserWarning):
+        diameter(_union(_EXACT_DIAMETER_CAP + 1, *parts))
+
+
+def test_bitset_diameter_memory_stays_within_its_blocks():
+    """On a dense random of _EXACT_DIAMETER_CAP nodes, the bitset's rows are
+    k * W = 262144 words and its edges 2m = 334492. Gathering every
+    neighbor row at once would take 2m * W words, about 163 MiB; in
+    blocks, each temporary holds at most max(2m, k * W) words, and at most
+    four of them (two levels of rows, a gathered block and its reduction)
+    are live at once."""
+    g = gen_random(_EXACT_DIAMETER_CAP, 0.02, seed=1)
+    words = -(-g.n // 64)
+    bound = 8 * max(2 * g.m, g.n * words)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert diameter(g) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * bound
+    assert g._adj is None
