@@ -33,16 +33,18 @@ cores, so the two notions agree at every size. Two forest nodes are nested
 or disjoint. So the maximal cores of a cluster are the highest forest nodes
 whose slice lies inside it, and two distinct cores never tie for a node.
 
-Two shortcuts skip the cores. The stop check holds when every leaf's core,
-its highest covered node, is stopped.
-- If some root stands, the check fails. Each leaf under that root has its
-  core under the root too, and a stopped core would stop every node above
-  it, the root included. So that core stands.
-- If the check held on a run's last state, the repair is the set of the
-  forest's highest standing nodes, read with no look at the state. The
-  repair keeps, for each leaf, its highest covered node that stands. The
-  leaf's core is stopped, so the leaf's highest standing ancestor lies
-  strictly under the core and is covered with it. No higher node stands.
+One rule reads the stop check and the repair off the two masks. For a leaf
+v, let h be its highest standing ancestor and c its core, its highest
+covered ancestor. A cluster that holds a node's slice holds its children's
+too, so the covered nodes also form a chain up from v.
+- c is stopped iff h lies strictly under c, that is iff h has a parent and
+  that parent is covered.
+- Every highest standing node is the h of the leaves under it, so the stop
+  check (every leaf's core stopped) holds iff every highest standing node
+  has a covered parent. A standing root has no parent and fails it.
+- The repair keeps, for each leaf, its highest covered node that stands:
+  the highest nodes of covered & standing. When the stop check holds, each
+  leaf's h is covered, so the repair is the highest standing nodes.
 """
 
 from dataclasses import dataclass
@@ -193,14 +195,16 @@ def _tree(g, c):
     return f, f.roots[0]
 
 
-def _cores(f, lens, ids, pred=None):
-    """The highest nodes of the graph's forest f (leaf v is node v) that one
-    of the CSR clusters (lens, ids) holds whole, as an index array: each
-    node's largest core among the clusters. A cluster holds a node whole
-    when one run of consecutive leaf positions in it covers the node's
-    slice; reach[p] is the furthest end of a run that starts at or before p.
-    With pred, the highest held nodes that are not stopped: Stop_local is
-    monotone up the forest, so the highest unstopped nodes under each core."""
+def _covered(f, lens, ids):
+    """The nodes of the graph's forest f (leaf v is node v) that one of the
+    CSR clusters (lens, ids) holds whole, as a mask: its highest nodes are
+    each node's largest core among the clusters. A cluster holds a node
+    whole when one run of consecutive leaf positions in it covers the
+    node's slice; reach[p] is the furthest end of a run that starts at or
+    before p. Min-propagating growth can hand a node the ids of two
+    far-apart minima, so a grown cluster may be disconnected; that does not
+    change its cores. Repeated clusters and ids set the same reach, and
+    empty clusters none."""
     n = len(f.order)
     # Codes of one cluster lie n + 1 apart from the next cluster's, so no
     # run of consecutive codes crosses from one cluster into the next.
@@ -208,15 +212,15 @@ def _cores(f, lens, ids, pred=None):
     code *= n + 1
     code += f.lo[ids]
     code.sort()
-    starts = np.flatnonzero(np.diff(code, prepend=-2) > 1)
+    # A run starts where a code is not one more than the code before it.
+    gap = np.ones(code.size, bool)
+    np.greater(code[1:], code[:-1] + 1, out=gap[1:])
+    starts = np.flatnonzero(gap)
     ends = np.append(starts, code.size)[1:] - 1
     reach = np.zeros(n, np.intp)
     np.maximum.at(reach, code[starts] % (n + 1), code[ends] % (n + 1) + 1)
     np.maximum.accumulate(reach, out=reach)
-    keep = reach[f.lo] >= f.lo + f.size
-    if pred is not None:
-        keep &= _standing(f, pred)
-    return _highest(f, keep)
+    return reach[f.lo] >= f.lo + f.size
 
 
 def _standing(f, pred):
@@ -246,45 +250,37 @@ def _graph_forest(g):
     return g._forest
 
 
-def _connected_cores(g, c, pred=None):
-    """The graph's forest and the highest nodes of it inside the connected
-    cluster c, or with pred the highest of those that stand."""
-    _tree(g, c)
-    f = _graph_forest(g)
-    return f, _cores(f, np.array([len(c)], np.intp), np.array(c, np.intp), pred)
-
-
 def mcd(g, c):
     """Minimal core decomposition: the highest nodes of the graph's merge
     forest inside the connected cluster c, a partition of it."""
-    return _clusters(*_connected_cores(g, c))
+    return split_repair(g, c, StopPredicate("never"))
 
 
 def split_repair(g, c, pred):
     """Highest nodes of the graph's merge forest inside the connected
     cluster c that are not stopped: keeps every valid core, recursively
     splits the rest."""
-    return _clusters(*_connected_cores(g, c, pred))
-
-
-def _grown_cores(g, state, pred=None):
-    """The graph's forest and _cores of the CSR state, which must pass
-    stop_round's check, as a growth run's last state did. Min-propagating
-    growth can hand a node the ids of two far-apart minima, so a grown
-    cluster may be disconnected; that does not change its cores. Repeated
-    clusters and ids set the same reach, and empty clusters none."""
+    _tree(g, c)
     f = _graph_forest(g)
-    return f, _cores(f, *state, pred)
+    covered = _covered(f, np.array([len(c)], np.intp), np.array(c, np.intp))
+    return _clusters(f, _highest(f, covered & _standing(f, pred)))
 
 
 def stop_round(g, state, pred):
     """Global stop on the CSR clusters state = (lens, ids): hand each node
     the largest of the clusters' maximal cores that holds it, read off the
     graph's merge forest, and require Stop_local on all of them. The state
-    is checked first, under every predicate: a GraphError unless every id
-    is in 0..n-1 and every node is held. A standing root answers False
-    without the cores (see the module docstring)."""
-    ids = state[1]
+    is checked first, under every predicate: a GraphError unless lens and
+    ids are integer arrays, lens are at least 0 and sum to ids.size, every
+    id is in 0..n-1 and every node is held. Any number of clusters may be
+    given. Every core is stopped iff every highest standing node has a
+    covered parent (see the module docstring)."""
+    lens, ids = state
+    if lens.dtype.kind not in "iu" or ids.dtype.kind not in "iu":
+        raise GraphError("a cluster state's lens and ids must be integer arrays")
+    if lens.min(initial=0) < 0 or lens.sum() != ids.size:
+        raise GraphError("a cluster state's lens must be at least 0 and sum to "
+                         "its %d ids" % ids.size)
     if ids.size and (ids.min() < 0 or ids.max() >= g.n):
         raise GraphError("a cluster has ids outside 0..%d" % (g.n - 1))
     held = np.zeros(g.n, bool)
@@ -295,9 +291,10 @@ def stop_round(g, state, pred):
     if pred.kind == "never":
         return False
     stands = _standing(f, pred)
+    # A root's parent is -1, which would read the last node's mask.
     if stands[f.roots].any():
         return False
-    return not stands[_cores(f, *state)].any()
+    return bool(_covered(f, lens, ids)[f.parent[_highest(f, stands)]].all())
 
 
 @dataclass
@@ -334,15 +331,15 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
         raise GraphError("max_rounds must be at least 1")
     res = engine.run(g, _SLC_SCHEMES[algo](), max_rounds,
                      stop=lambda state: stop_round(g, state, pred))
+    f = _graph_forest(g)
     if cache is not None:
-        cache[g] = _graph_forest(g)
-    if res.stopped:
-        # Every core stops, so the repair is the forest's highest standing
-        # nodes (see the module docstring), with no read of the state.
-        f = _graph_forest(g)
-        clusters = _clusters(f, _highest(f, _standing(f, pred)))
-    else:
-        clusters = _clusters(*_grown_cores(g, res.final, pred))
+        cache[g] = f
+    # A stopped run's repair is the highest standing nodes, with no read of
+    # its last state (see the module docstring).
+    keep = _standing(f, pred)
+    if not res.stopped:
+        keep &= _covered(f, *res.final)
+    clusters = _clusters(f, _highest(f, keep))
     return SlcResult(algo=algo, stop=str(pred), rounds=res.rounds,
                      converged=res.converged or res.stopped, stopped=res.stopped,
                      per_round=res.per_round, clusters=clusters)

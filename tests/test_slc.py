@@ -237,6 +237,28 @@ def test_stop_round_requires_coverage():
                 stop_round(g, csr(state), StopPredicate.parse(spec))
 
 
+def test_stop_round_refuses_malformed_lens_and_ids():
+    """lens that do not split the ids into clusters, and lens or ids that
+    are not integers, are GraphErrors under every predicate, not numpy's
+    broadcast, repeat or index errors. The lens count need not be n."""
+    g = gen_path(4, weighted=True)
+    ids = np.arange(4)
+    bad_states = [(np.array([1, 1, 1]), ids), (np.array([3, -1, 1, 1]), ids),
+                  (np.array([2, 2, 1]), ids), (np.array([4]), ids.astype(float)),
+                  (np.array([4.0]), ids)]
+    for spec in ("never", "dist:0.5", "size:1"):
+        pred = StopPredicate.parse(spec)
+        for state in bad_states:
+            with pytest.raises(GraphError):
+                stop_round(g, state, pred)
+        # Fewer or more lens than nodes: the same clusters, padded to n.
+        for lens, clusters in (([4], [(0, 1, 2, 3), (), (), ()]),
+                               ([2, 0, 2], [(0, 1), (), (2, 3), ()]),
+                               ([1, 1, 1, 1, 0, 0], [(0,), (1,), (2,), (3,)])):
+            assert stop_round(g, (np.array(lens), ids), pred) is stop_round(
+                g, csr(clusters), pred)
+
+
 def test_stop_round_cases():
     g = wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.9, 0.15])
     singles = [(0,), (1,), (2,), (3,)]

@@ -250,6 +250,22 @@ def test_run_slc_stops_at_the_first_round_that_passes_global_stop(g, pred, schem
         assert res.rounds == first
 
 
+@FUZZ
+@given(weighted_graphs(), predicates, st.sampled_from([HashToAll, HashToMin]),
+       st.integers(1, 3))
+def test_run_slc_repairs_the_last_grown_state_when_out_of_rounds(g, pred, scheme, rounds):
+    """With few rounds most runs neither stop nor finish growing. Those
+    return the brute-force repair of their last grown state, as runs that
+    reach their fixpoint do; a run that stops returns the centralized
+    answer."""
+    res = run_slc(g, scheme.name, pred, rounds)
+    if res.stopped:
+        assert res.clusters == centralized_slc(g, pred.kind, pred.param)
+    else:
+        grown = engine.run(g, scheme(), res.rounds, record=True).snapshots[-1]
+        assert res.clusters == reference_repair(g, [c for c in grown if c], pred)
+
+
 @st.composite
 def subsets(draw):
     """A graph on at most 12 nodes and a node set of it, grown from one node
@@ -377,5 +393,7 @@ def test_stopped_run_repair_is_the_general_repair(g, pred, scheme):
     res = run_slc(g, scheme.name, pred, 100)
     assert (res.stopped, res.rounds) == (grown.stopped, grown.rounds)
     if res.stopped:
-        general = slc._clusters(*slc._grown_cores(g, grown.final, pred))
+        f = slc._graph_forest(g)
+        keep = slc._covered(f, *grown.final) & slc._standing(f, pred)
+        general = slc._clusters(f, slc._highest(f, keep))
         assert res.clusters == general == centralized_slc(g, pred.kind, pred.param)
