@@ -50,7 +50,7 @@ single-linkage growth passes its stop check as run's stop test.
 import json
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import lt
+from operator import index, lt
 
 import numpy as np
 
@@ -166,10 +166,14 @@ def _start(state, n):
     RunResult.final has: lens are cast to intp and ids to _id_dtype(n), and
     a value either cast would change is an EngineFault, an id outside
     0..n-1 with the message _pack gives it. Anything else is a list of
-    clusters, packed. Either form must hold n clusters."""
+    clusters, packed, whose every id must pass operator.index: a float id
+    is refused, never truncated. Either form must hold n clusters."""
     if not (isinstance(state, tuple) and len(state) == 2
             and all(isinstance(a, np.ndarray) for a in state)):
-        state = [tuple(c) for c in state]
+        try:
+            state = [tuple(map(index, c)) for c in state]
+        except TypeError:
+            raise EngineFault("initial state must be clusters of integer ids") from None
         if len(state) != n:
             raise EngineFault(_COVER % n)
         return _check_held(0, n, *_pack(state, n))

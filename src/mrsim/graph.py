@@ -23,9 +23,11 @@ slc fills the forest's slot on first use.
 
 gen_random draws G(n, p) by geometric edge skipping from a seeded
 random.Random stream. It reads the stream in bulk, with the same values as
-one rng.random() per skip, and sums and unranks the skips in arrays. A
-weighted build draws its weights from the stream just past the skips, as
-the per-skip loop would.
+one rng.random() per skip, and sums and unranks the skips in arrays. The
+skips are math.log's, though np.log computes them: only quotients near an
+integer are taken again with math.log (see _edge_indices). A weighted
+build draws its weights in bulk from the stream just past the skips, as
+the per-skip loop would, and nudges them one by one only on a repeat.
 
 components_nodes finds each node's root, its component's least member, by
 a union-find over the upper edges in arrays, and groups the nodes by a
@@ -311,16 +313,24 @@ def _require_positive(n):
 
 
 def _unique_weights(rng, count):
-    """Distinct weights in (0, 1], deterministic in draw order."""
+    """Distinct weights in (0, 1], deterministic in draw order: 1.0 - u for
+    the next count draws u of rng, read in bulk, with each weight that
+    repeats an earlier one nudged down to the next float not yet taken.
+    1.0 - u is at least 2**-53 and each nudge steps past a weight already
+    taken, so no weight reaches 0 short of some 2**62 weights. The nudging
+    walks the weights one by one only when some value repeats."""
+    w = 1.0 - _draws(rng, count)
+    s = np.sort(w)
+    if not (s[1:] == s[:-1]).any():
+        return w
     seen = set()
     out = []
-    for _ in range(count):
-        w = 1.0 - rng.random()
-        while w in seen or w <= 0.0:
-            w = math.nextafter(w, 2.0) if w <= 0.0 else math.nextafter(w, 0.0)
-        seen.add(w)
-        out.append(w)
-    return out
+    for x in w.tolist():
+        while x in seen:
+            x = math.nextafter(x, 0.0)
+        seen.add(x)
+        out.append(x)
+    return np.array(out)
 
 
 def _generated(n, u, v, weighted, seed):
@@ -363,11 +373,20 @@ def _draws(rng, k):
 def _edge_indices(rng, total, p):
     """The pair indices below total that geometric edge skipping (Batagelj
     and Brandes, 2005) picks with edge probability 0 < p < 1, ascending.
-    Each skip is int(log(1 - u) / log(1 - p)) + 1 for the next draw u of
-    rng, so the skips use one draw per index and one more, the draw whose
-    skip reaches total. The draws are read in chunks, and rng is left past
-    the last chunk, which may hold draws no skip used. Every index stays
-    exact for total < 2**62."""
+    Each skip is int(x) + 1, x = math.log(1 - u) / log(1 - p), for the next
+    draw u of rng, so the skips use one draw per index and one more, the
+    draw whose skip reaches total. The draws are read in chunks, and rng is
+    left past the last chunk, which may hold draws no skip used. Every index
+    stays exact for total < 2**62.
+
+    A chunk's quotients are taken with np.log, which need not be correctly
+    rounded, and those inside a band around an integer,
+    |x - rint(x)| <= 1e-9 * max(x, 1), are taken again with math.log. A log
+    a few ulps off moves x by a few parts in 2**52 of x, far less than the
+    band, so a quotient outside it truncates to the same integer either way:
+    the skips, and so the graphs, do not depend on which log numpy runs.
+    Every float from 2**52 up is an integer, so a huge skip is always
+    taken again."""
     log_q = math.log(1.0 - p)
     if log_q == 0.0:
         # 1.0 - p rounds to 1.0, so every skip is of order 1 / p.
@@ -380,13 +399,15 @@ def _edge_indices(rng, total, p):
     while True:
         mean = (total - idx) * p
         k = min(int(mean + 4.0 * math.sqrt(mean)) + 8, most)
-        x = 1.0 - _draws(rng, k)
-        # math.log, not np.log, which need not be correctly rounded.
-        x = np.fromiter(map(math.log, x.tolist()), np.float64, k)
-        with np.errstate(over="ignore"):  # a subnormal p: inf, clipped below
-            x /= log_q
-        # A skip of 2**62 or more reaches total; no larger float is cast.
-        skip = np.minimum(x, 2.0 ** 62).astype(np.int64)
+        y = 1.0 - _draws(rng, k)
+        with np.errstate(over="ignore"):  # a subnormal p: inf, clipped
+            x = np.log(y) / log_q
+            # A skip of 2**62 or more reaches total; no larger float is cast.
+            np.minimum(x, 2.0 ** 62, out=x)
+            near = np.flatnonzero(np.abs(x - np.rint(x)) <= 1e-9 * np.maximum(x, 1.0))
+            exact = np.array([math.log(v) for v in y[near].tolist()]) / log_q
+            x[near] = np.minimum(exact, 2.0 ** 62)
+        skip = x.astype(np.int64)
         np.minimum(skip, total, out=skip)
         pos = idx + np.cumsum(skip + 1)
         end = int(np.searchsorted(pos, total))
@@ -417,9 +438,12 @@ def gen_random(n, p, seed, weighted=False):
     """G(n, p) by geometric edge skipping; independent of weight draws. The
     skips are computed in arrays from the random.Random(seed) stream read in
     bulk, the same draws one rng.random() per skip would make, and the
-    weights are drawn from that stream after them. A p so small that
-    1.0 - p rounds to 1.0 draws skips of order 1 / p, so a small graph gets
-    no edge. For 0 < p < 1, n is at most MAX_RANDOM_NODES."""
+    weights are drawn from that stream after them. The skips are those
+    math.log gives, whichever log numpy runs: _edge_indices takes again
+    with math.log each quotient that a log a few ulps off could move across
+    an integer. A p so small that 1.0 - p rounds to 1.0 draws skips of
+    order 1 / p, so a small graph gets no edge. For 0 < p < 1, n is at most
+    MAX_RANDOM_NODES."""
     n = _require_positive(n)
     if not (0.0 <= p <= 1.0):
         raise GraphError("edge probability %r outside [0, 1]" % p)

@@ -49,6 +49,7 @@ too, so the covered nodes also form a chain up from v.
 
 from dataclasses import dataclass
 from numbers import Integral, Real
+from operator import index
 
 import numpy as np
 
@@ -181,8 +182,13 @@ def _forest(g, members):
 
 
 def _tree(g, c):
-    """A connected cluster's own merge tree and its root."""
-    c = tuple(sorted(c))
+    """A connected cluster's own merge tree and its root. Each id must pass
+    operator.index, as Graph.weight's ends do: a float id is refused, never
+    truncated."""
+    try:
+        c = tuple(sorted(map(index, c)))
+    except TypeError:
+        raise GraphError("cluster %r must hold integer ids" % (c,)) from None
     if not c:
         raise GraphError("empty cluster")
     if c[0] < 0 or c[-1] >= g.n:
@@ -327,6 +333,12 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
     if algo not in _SLC_SCHEMES:
         raise GraphError("unknown growth scheme %r (choose from %s)"
                          % (algo, ", ".join(sorted(_SLC_SCHEMES))))
+    if not isinstance(pred, StopPredicate):
+        raise GraphError("stop predicate must be a StopPredicate, got %r" % (pred,))
+    try:
+        max_rounds = index(max_rounds)
+    except TypeError:
+        raise GraphError("max_rounds must be an integer, got %r" % (max_rounds,)) from None
     if max_rounds < 1:
         raise GraphError("max_rounds must be at least 1")
     res = engine.run(g, _SLC_SCHEMES[algo](), max_rounds,

@@ -172,6 +172,19 @@ def test_csr_initial_state_fails_as_the_list_form(init):
         assert str(packed.value) == str(listed.value)
 
 
+def test_list_initial_state_refuses_ids_that_are_not_integers():
+    """Each id of a list initial_state must pass operator.index: a float
+    id, even a whole one, is refused, never truncated (2.9 once started
+    node 3 from (2,)). numpy integers pass."""
+    g = gen_path(4)
+    for bad in ((2.9,), (3.0,), (np.float64(3),), ("x",), None, 3):
+        with pytest.raises(EngineFault, match="integer ids"):
+            run(g, HashToMin(), 5, initial_state=[(0,), (1,), (2,), bad])
+    listed = run(g, HashToMin(), 5, initial_state=[(0,), (1,), (2,), (np.int64(3),)])
+    plain = run(g, HashToMin(), 5, initial_state=[(0,), (1,), (2,), (3,)])
+    assert result_to_json(listed) == result_to_json(plain)
+
+
 def test_csr_initial_state_lens_must_cover_its_ids():
     """lens must be whole numbers at least 0 that sum to the ids. lens the
     cast to intp would change are a fault, not a state cut short:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mrsim.graph
 from mrsim.engine import run
 from mrsim.graph import (
     MAX_NODES,
@@ -301,10 +303,13 @@ def test_gen_random_extremes():
     assert full.m == 9 * 8 // 2
     assert gen_random(1, 0.5, seed=1).m == 0
     # 1.0 - p rounds to 1.0 below p of about 1.1e-16, where log(1.0 - p)
-    # once divided by zero: the skips are of order 1 / p.
-    for p in (1e-17, 1e-300, 5e-324):
-        for weighted in (False, True):
-            assert gen_random(10, p, seed=0, weighted=weighted).m == 0
+    # once divided by zero: the skips are of order 1 / p. Quotients that
+    # overflow to inf are clipped with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1e-17, 1e-300, 5e-324):
+            for weighted in (False, True):
+                assert gen_random(10, p, seed=0, weighted=weighted).m == 0
 
 
 def test_gen_random_deterministic():
@@ -346,6 +351,41 @@ def reference_edges(n, p, seed):
     return np.asarray(rows, np.int64), np.asarray(cols, np.int64), rng
 
 
+def reference_weights(rng, count):
+    """gen_random's weights by the per-weight loop it once ran: 1.0 minus
+    one rng.random() per weight, nudged down while it repeats an earlier
+    weight."""
+    seen = set()
+    out = []
+    for _ in range(count):
+        w = 1.0 - rng.random()
+        while w in seen or w <= 0.0:
+            w = math.nextafter(w, 2.0) if w <= 0.0 else math.nextafter(w, 0.0)
+        seen.add(w)
+        out.append(w)
+    return out
+
+
+class Stream:
+    """A stand-in for random.Random that returns the given draws, each a
+    multiple of 2**-53 in [0, 1), in turn: through random(), or through
+    getrandbits as _draws reads it, two 32-bit words a draw."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self):
+        return next(self.draws)
+
+    def getrandbits(self, bits):
+        m = np.array([int(next(self.draws) * 2.0 ** 53) for _ in range(bits // 64)],
+                     np.uint64)
+        words = np.empty(2 * m.size, "<u4")
+        words[0::2] = (m >> 26) << 5
+        words[1::2] = (m & (2 ** 26 - 1)) << 6
+        return int.from_bytes(words.tobytes(), "little")
+
+
 @pytest.mark.parametrize("n", [1, 2, 10, 97, 300])
 def test_gen_random_matches_the_per_edge_loop(n):
     """Equal graphs, and equal weights, so the stream is left where the
@@ -360,6 +400,29 @@ def test_gen_random_matches_the_per_edge_loop(n):
             assert np.array_equal(w, _unique_weights(rng, rows.size)), (n, p, seed)
 
 
+def test_unique_weights_match_the_per_weight_loop():
+    """The bulk draw and its uniqueness check give the loop's weights, and
+    leave the stream where it does: on gen_random's own streams, and on a
+    stream whose draws repeat, so the nudges run, in chains that pass a
+    weight drawn later."""
+    for n, p in ((2, 0.5), (97, 0.02), (300, 0.5)):
+        for seed in range(5):
+            rows, _, rng = reference_edges(n, p, seed)
+            _, _, w = gen_random(n, p, seed=seed, weighted=True)._upper()
+            assert w.tolist() == reference_weights(rng, rows.size), (n, p, seed)
+    for k in (0, 1, 1000):
+        a, b = random.Random(k), random.Random(k)
+        assert _unique_weights(a, k).tolist() == reference_weights(b, k)
+        assert a.getstate() == b.getstate()
+    eps = 2.0 ** -53
+    draws = [0.25, 0.25, 0.25 + eps, 0.5, 0.0, 0.5, 0.25 + 2 * eps, 0.0, 0.75]
+    got = _unique_weights(Stream(draws), len(draws))
+    want = reference_weights(Stream(draws), len(draws))
+    assert got.tolist() == want
+    assert want[:4] == [0.75, 0.75 - eps, 0.75 - 2 * eps, 0.5]
+    assert len(set(want)) == len(want)
+
+
 def test_gen_random_digest():
     """The components benchmark's dense random, pinned by the sha256 of its
     CSR arrays."""
@@ -368,6 +431,30 @@ def test_gen_random_digest():
                             + np.asarray(g.indices, "<i4").tobytes()).hexdigest()
     assert (g.m, digest) == (
         40074, "58594d3d8a63cd19f117f11b0c1a9828554c7aa9c7d694cde2874f0803e20a4b")
+
+
+def test_gen_random_digests_of_weighted_sparse_and_huge_skip_draws():
+    """More sha256 pins: a weighted graph of the slc benchmark's size, its
+    CSR arrays and edge weights; a sparse graph; and, at p = 1e-17, where
+    1.0 - p rounds to 1.0, the pairs of five seeds at the node limit (no
+    graph of that many nodes fits in memory). Every numpy build must give
+    these bytes, whatever log it runs."""
+    def digest(*arrays):
+        return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+    g = gen_random(80, 0.08, seed=3, weighted=True)
+    assert (g.m, digest(np.asarray(g.indptr, "<i8"), np.asarray(g.indices, "<i4"),
+                        np.asarray(g.edge_weights, "<f8"))) == (
+        239, "72184d5a524274e6a8ccc7786d8ad52cede39717e1fe1ec42af825e8c06d0aea")
+    g = gen_random(3000, 0.001, seed=5)
+    assert (g.m, digest(np.asarray(g.indptr, "<i8"), np.asarray(g.indices, "<i4"))) == (
+        4471, "21abfed7fa4feda808d1ee0227b52e7ab2e54cd6937d14eb3dbf46733f1a9d41")
+    n = MAX_RANDOM_NODES
+    pairs = [_unrank(n, _edge_indices(random.Random(seed), n * (n - 1) // 2, 1e-17))
+             for seed in range(5)]
+    assert (sum(r.size for r, _ in pairs),
+            digest(*(np.asarray(a, "<i8") for pair in pairs for a in pair))) == (
+        57, "c996292c3023999b785b29083cf21038df353192f0f2bacd74849e835e7ff549")
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 7, 1000])
@@ -457,6 +544,26 @@ def test_edge_indices_are_exact_for_huge_totals():
     assert got.size == 0
     b.random()
     assert used(0, got) == b.getstate()
+
+
+@pytest.mark.parametrize("shift", [None, -np.inf, np.inf])
+def test_edge_indices_redo_quotients_near_an_integer(monkeypatch, shift):
+    """At p = 0.5, draws with 1 - u of 0.5 and 0.25 put log(1 - u) /
+    log(1 - p) on the integers 1 and 2, where a log one ulp off would move
+    the skip by one. With np.log as it is, and with the log graph calls made
+    one ulp low or high on every element, the indices are the per-edge
+    loop's, on those draws and on seeded streams."""
+    if shift is not None:
+        log = np.log
+        monkeypatch.setattr(mrsim.graph.np, "log", lambda a: np.nextafter(log(a), shift))
+    exact = [0.5, 0.75, 0.5, 0.5, 0.75]
+    assert (_edge_indices(Stream(itertools.cycle(exact)), 1000, 0.5).tolist()
+            == reference_indices(Stream(itertools.cycle(exact)), 1000, 0.5))
+    for total, p in ((1000, 0.5), (5000, 0.02), (50, 0.999), (2 ** 62 - 1, 1e-17)):
+        for seed in range(5):
+            got = _edge_indices(random.Random(seed), total, p)
+            assert got.tolist() == reference_indices(random.Random(seed), total, p), (
+                total, p, seed)
 
 
 def test_gen_random_weights_unique_in_range():

@@ -92,7 +92,8 @@ def test_stop_predicate_local_uses_merge_tree_edges():
             pred.local(g, ())
         with pytest.raises(GraphError):
             pred.local(gen_path(4), (0, 1))
-        for bad in ((-1,), (2, 4)):
+        # A float id is refused, never truncated to a member.
+        for bad in ((-1,), (2, 4), (0, 1.5), (np.float64(1),), ("a",), (None,)):
             with pytest.raises(GraphError):
                 pred.local(g, bad)
 
@@ -161,6 +162,14 @@ def test_mcd_examples():
         mcd(g, (0, 2))
     with pytest.raises(GraphError):
         mcd(wgraph(4, [(0, 1), (1, 2), (2, 3)], [0.1, 0.9, 0.15]), (0, 4))
+    # Ids must pass operator.index: (0, 1.5) once answered for (0, 1).
+    path = gen_path(4, weighted=True)
+    for bad in ((0, 1.5), ("a",), (float("nan"),)):
+        with pytest.raises(GraphError, match="integer ids"):
+            mcd(path, bad)
+        with pytest.raises(GraphError, match="integer ids"):
+            split_repair(path, bad, StopPredicate("dist", 0.5))
+    assert mcd(path, (np.int64(0), np.int32(1))) == mcd(path, (0, 1))
 
 
 def test_mcd_partitions_into_maximal_cores():
@@ -357,6 +366,15 @@ def test_run_slc_errors():
         run_slc(g, "hash-min", StopPredicate("never"), 10)
     with pytest.raises(GraphError):
         run_slc(g, "hash-to-min", StopPredicate("never"), 0)
+    # Checked once per call, before any round: a spec string is not a
+    # predicate, and max_rounds must pass operator.index.
+    with pytest.raises(GraphError, match="StopPredicate"):
+        run_slc(g, "hash-to-all", "dist:0.5", 3)
+    for rounds in (1.5, "3", 3.0):
+        with pytest.raises(GraphError, match="max_rounds"):
+            run_slc(g, "hash-to-min", StopPredicate("never"), rounds)
+    assert (run_slc(g, "hash-to-min", StopPredicate("never"), np.int64(3))
+            == run_slc(g, "hash-to-min", StopPredicate("never"), 3))
 
 
 def test_stop_round_and_run_slc_on_empty_and_single_node_graphs():
