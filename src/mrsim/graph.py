@@ -6,11 +6,15 @@ ascending; rows[k] is the node whose list holds entry k; and edge_weights, None
 on an unweighted graph, gives each entry's weight. So every edge, and its
 weight, appears once in each direction. Every build (the constructor, the
 generators, relabel and load_edge_list) goes through one validated path over
-arrays: one sort of the u * n + v codes of both directions checks the ids
-against the range, self-loops, and duplicates in either orientation; then the
-weights are checked for one per edge, range (0, 1] and distinctness. Integer
-node counts and ids are required: a float id is refused, never cast. Every
-fault is a GraphError.
+arrays. The ids as given are checked against the range and for self-loops
+by reductions, and then cast once to the id dtype, _id_dtype(n): int32
+while every code u * n + v fits in it, int64 otherwise. The rest of the
+build is in that dtype: one sort of both directions' codes checks for
+duplicates in either orientation and gives the CSR order, and the codes
+split, in place, into rows and indices. Then the weights are checked for
+one per edge, range (0, 1] and distinctness. Integer node counts and ids
+are required: a float id is refused, never cast. Every fault is a
+GraphError.
 
 adj (a tuple of neighbor tuples) and weights (a dict keyed by (u, v) with
 u < v) are views built on first use and cached, for the readers that walk
@@ -29,6 +33,9 @@ integer are taken again with math.log (see _edge_indices). A weighted
 build draws its weights in bulk from the stream just past the skips, as
 the per-skip loop would, and nudges them one by one only on a repeat.
 
+relabel_random draws its permutation by random.shuffle, and relabel reads
+it as one id-dtype array.
+
 components_nodes finds each node's root, its component's least member, by
 a union-find over the upper edges in arrays, and groups the nodes by a
 stable argsort of the roots. diameter counts each component's edges from
@@ -37,9 +44,11 @@ all-source search in arrays, or one breadth-first search per node where
 that counts less work; the Python searches walk neighbor tuples cut from
 the CSR arrays for the one call, keep one list of n distances and use a
 plain list as their queue, handing the distances back all -1 after each
-search so that one list serves every source.
+search so that one list serves every source. The cyclic components of at
+most 64 nodes share one bitset of one word a node.
 """
 
+import itertools
 import math
 import numbers
 import operator
@@ -53,7 +62,8 @@ import numpy as np
 _EXACT_DIAMETER_CAP = 4096
 _DIAMETER_SAMPLES = 32
 
-# The build, and the engine, code a pair (u, v) as u * n + v in an int64.
+# The build, and the engine, code a pair (u, v) as u * n + v in
+# _id_dtype(n), whose widest is int64.
 MAX_NODES = math.isqrt(2 ** 63 - 1)
 # gen_random's unranking takes (2n - 1)^2 in an int64 for 0 < p < 1.
 MAX_RANDOM_NODES = (MAX_NODES + 1) // 2
@@ -168,18 +178,27 @@ class Graph:
         def name(x):
             return int(x) if original_ids is None else original_ids[x]
 
-        outside = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
-        if outside.size:
-            i = outside[0]
+        # The ids as given are checked by reductions; the offending edge is
+        # looked for only once a check fails.
+        if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
+            i = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))[0]
             fail(i, "edge (%d, %d) outside id range 0..%d" % (u[i], v[i], n - 1))
-        loops = np.flatnonzero(u == v)
-        if loops.size:
-            fail(loops[0], "self-loop at node %r" % (name(u[loops[0]]),))
+        loops = u == v
+        if loops.any():
+            i = loops.argmax()
+            fail(i, "self-loop at node %r" % (name(u[i]),))
+        # Everything below is in the id dtype, where each code u * n + v fits.
+        dtype = _id_dtype(n)
+        u, v = u.astype(dtype, copy=False), v.astype(dtype, copy=False)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
         # One sort of both directions' codes gives the CSR order, and an
         # edge given twice, in either orientation, shows as an equal pair.
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        edge_codes = lo * n + hi
-        codes = np.concatenate((edge_codes, hi * n + lo))
+        m = lo.size
+        codes = np.empty(2 * m, dtype)
+        np.multiply(lo, n, out=codes[:m])
+        codes[:m] += hi
+        np.multiply(hi, n, out=codes[m:])
+        codes[m:] += lo
         if w is None:
             order = None
             codes.sort()
@@ -187,26 +206,27 @@ class Graph:
             order = np.argsort(codes)
             codes = codes[order]
         if (codes[1:] == codes[:-1]).any():
-            i = _first_repeat(edge_codes)
+            i = _first_repeat(lo * n + hi)
             fail(i, "duplicate edge (%r, %r)" % (name(lo[i]), name(hi[i])))
         if isinstance(w, Mapping):
-            w = _keyed_weights(n, edge_codes, w)
+            w = _keyed_weights(n, lo * n + hi, w)
         if w is not None:
             w = np.asarray(w, dtype=np.float64)
-            outside = np.flatnonzero(~((w > 0.0) & (w <= 1.0)))
-            if outside.size:
-                fail(outside[0], "weight %r outside (0, 1]" % float(w[outside[0]]))
+            # A NaN weight makes both reductions NaN, so it fails too.
+            if not (w.min(initial=1.0) > 0.0 and w.max(initial=1.0) <= 1.0):
+                i = np.flatnonzero(~((w > 0.0) & (w <= 1.0)))[0]
+                fail(i, "weight %r outside (0, 1]" % float(w[i]))
             i = _first_repeat(w)
             if i is not None:
                 fail(i, "duplicate weight %r" % float(w[i]))
             w = np.concatenate((w, w))[order]
             w.flags.writeable = False
-        dtype = _id_dtype(n)
+        # The sorted codes split into rows and, in place, indices.
         rows = codes // n
-        indices = (codes - rows * n).astype(dtype)
+        indices = codes
+        indices -= rows * n
         indptr = np.zeros(n + 1, np.intp)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        rows = rows.astype(dtype)
         for a in (indptr, indices, rows):
             a.flags.writeable = False
         self.n = n
@@ -219,8 +239,7 @@ class Graph:
         """The graph of integer arrays u, v and weights w aligned with them,
         built without the constructor's conversions."""
         g = cls.__new__(cls)
-        g._fill(n, u.astype(np.int64, copy=False), v.astype(np.int64, copy=False), w,
-                original_ids, lines)
+        g._fill(n, u, v, w, original_ids, lines)
         return g
 
     @property
@@ -343,21 +362,22 @@ def _generated(n, u, v, weighted, seed):
 def gen_path(n, weighted=False, seed=0):
     """Path 0-1-...-(n-1)."""
     n = _require_positive(n)
-    u = np.arange(n - 1)
+    u = np.arange(n - 1, dtype=_id_dtype(n))
     return _generated(n, u, u + 1, weighted, seed)
 
 
 def gen_complete_binary_tree(n, weighted=False, seed=0):
     """Heap-shaped binary tree: node i has children 2i+1 and 2i+2."""
     n = _require_positive(n)
-    child = np.arange(1, n)
+    child = np.arange(1, n, dtype=_id_dtype(n))
     return _generated(n, (child - 1) // 2, child, weighted, seed)
 
 
 def gen_star(n, weighted=False, seed=0):
     """Star with center 0 and n-1 leaves."""
     n = _require_positive(n)
-    return _generated(n, np.zeros(n - 1, np.int64), np.arange(1, n), weighted, seed)
+    dtype = _id_dtype(n)
+    return _generated(n, np.zeros(n - 1, dtype), np.arange(1, n, dtype=dtype), weighted, seed)
 
 
 def _draws(rng, k):
@@ -502,8 +522,9 @@ def load_edge_list(text, weighted=False):
         linenos.append(lineno)
     order = sorted(set(us) | set(vs))
     rank = {orig: i for i, orig in enumerate(order)}
-    u = np.fromiter(map(rank.__getitem__, us), np.int64, len(us))
-    v = np.fromiter(map(rank.__getitem__, vs), np.int64, len(vs))
+    dtype = _id_dtype(len(order))
+    u = np.fromiter(map(rank.__getitem__, us), dtype, len(us))
+    v = np.fromiter(map(rank.__getitem__, vs), dtype, len(vs))
     return Graph._from_arrays(len(order), u, v, ws if weighted else None,
                               original_ids=order, lines=linenos)
 
@@ -519,20 +540,28 @@ def dump_edge_list(g):
 
 
 def relabel(g, perm):
-    """Apply permutation perm (old id -> new id)."""
-    p = np.asarray(perm if isinstance(perm, np.ndarray) else list(perm))
-    if (p.shape != (g.n,) or p.size and p.dtype.kind not in "iu"
-            or not np.array_equal(np.sort(p), np.arange(g.n))):
-        raise GraphError("not a permutation of 0..%d" % (g.n - 1))
+    """Apply permutation perm (old id -> new id), a sequence of integers or
+    an integer ndarray, which is read as it is. Once its ids are in range,
+    they are cast to the id dtype, and each node must be named once."""
+    n = g.n
+    p = perm if isinstance(perm, np.ndarray) else np.asarray(list(perm))
+    if p.shape != (n,) or n and (p.dtype.kind not in "iu" or p.min() < 0 or p.max() >= n):
+        raise GraphError("not a permutation of 0..%d" % (n - 1))
+    p = p.astype(_id_dtype(n), copy=False)
+    named = np.zeros(n, bool)
+    named[p] = True
+    if not named.all():
+        raise GraphError("not a permutation of 0..%d" % (n - 1))
     u, v, w = g._upper()
-    return Graph._from_arrays(g.n, p[u], p[v], w)
+    return Graph._from_arrays(n, p[u], p[v], w)
 
 
 def relabel_random(g, seed):
-    """Random relabeling; returns (graph, perm) with perm[old] = new."""
+    """Random relabeling; returns (graph, perm) with perm[old] = new, a
+    list. random.shuffle draws perm, and relabel gets it as one array."""
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
-    return relabel(g, perm), perm
+    return relabel(g, np.array(perm, _id_dtype(g.n))), perm
 
 
 def _bfs_far(adj, src, dist):
@@ -591,7 +620,8 @@ def components_nodes(g):
 
 def _component_csr(indptr, indices, comp):
     """The CSR arrays (ptr, nbr) of the subgraph on comp, an ascending
-    list of a component's nodes, renumbered 0..k-1 in that order."""
+    list of the nodes of whole components, renumbered 0..k-1 in that
+    order."""
     if len(comp) == indptr.size - 1:
         return indptr, indices
     comp = np.asarray(comp)
@@ -620,23 +650,20 @@ def _eccentricity(ptr, nbr, most):
     return ecc
 
 
-def _bitset_diameter(ptr, nbr, low):
-    """The diameter, at least low, of a connected graph of k >= 2 nodes given
-    as CSR arrays, by an all-source search 64 sources to a machine word (the
-    bit-parallel BFS of Akiba, Iwata and Yoshida, 2013). Row x of a k x W
-    uint64 array, W = ceil(k / 64), has bit v set when dist(v, x) is at
-    most the level, and each level ORs every row with its neighbors' rows;
-    the diameter is the first level at which every row is full. The
-    neighbors' rows are gathered for blocks of whole rows of at most
-    max(2m, k * W) // W CSR entries, which one row's k - 1 never passes, so
-    no temporary holds more than max(2m, k * W) words."""
-    k = ptr.size - 1
-    words = -(-k // 64)
-    x = np.arange(k)
-    bits = np.zeros((k, words), np.uint64)
-    bits[x, x >> 6] = np.left_shift(np.uint64(1), (x & 63).astype(np.uint64))
-    full = np.full(words, np.uint64(2 ** 64 - 1))
-    full[-1] >>= np.uint64(-k % 64)
+def _bitset_diameter(ptr, nbr, low, bits, full):
+    """The greatest diameter, at least low, of the connected components (of
+    at least 2 nodes each) of a graph given as CSR arrays, by an all-source
+    search 64 sources to a machine word (the bit-parallel BFS of Akiba,
+    Iwata and Yoshida, 2013). Each node has a bit of its own among its
+    component's, and row x of the k x W uint64 array bits starts with x's
+    bit alone set; full is each row with all its component's bits set, or
+    one row for every row. A row has v's bit set when dist(v, x) is at most
+    the level, and each level ORs every row with its neighbors' rows; the
+    answer is the first level at which every row is full. The neighbors'
+    rows are gathered for blocks of whole rows of at most max(2m, k * W) // W
+    CSR entries, which one row's k - 1 never passes, so no temporary holds
+    more than max(2m, k * W) words."""
+    k, words = bits.shape
     most = max(nbr.size, k * words) // words
     blocks = []
     a = 0
@@ -655,18 +682,47 @@ def _bitset_diameter(ptr, nbr, low):
     return level
 
 
+def _own_bits(k):
+    """The start rows and the full row of _bitset_diameter on one component
+    of k nodes: node x has bit x % 64 of word x // 64."""
+    words = -(-k // 64)
+    x = np.arange(k)
+    bits = np.zeros((k, words), np.uint64)
+    bits[x, x >> 6] = np.left_shift(np.uint64(1), (x & 63).astype(np.uint64))
+    full = np.full(words, np.uint64(2 ** 64 - 1))
+    full[-1] >>= np.uint64(-k % 64)
+    return bits, full
+
+
+def _small_diameter(indptr, indices, comps):
+    """The greatest diameter of the components comps, each ascending and of
+    2 to 64 nodes, by one _bitset_diameter over all of them with one word a
+    row (W = 1): a node's bit is its rank in its component."""
+    sizes = np.array([len(c) for c in comps])
+    nodes = np.fromiter(itertools.chain.from_iterable(comps), np.intp, sizes.sum())
+    rank = np.arange(nodes.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    order = np.argsort(nodes)
+    ptr, nbr = _component_csr(indptr, indices, nodes[order])
+    bits = np.left_shift(np.uint64(1), rank[order].astype(np.uint64))
+    full = np.right_shift(np.uint64(2 ** 64 - 1),
+                          (64 - np.repeat(sizes, sizes)[order]).astype(np.uint64))
+    return _bitset_diameter(ptr, nbr, 0, bits[:, None], full[:, None])
+
+
 def diameter(g):
     """Longest shortest path over all components. Exact on forests (double
     sweep) and below a size cap (an all-source search, bit-parallel or one
     breadth-first search per node, whichever counts less work); sampled
     above, with a warning.
 
-    One sweep of a cyclic component gives an eccentricity e, so its
-    diameter is at most 2e. The bitset takes at most 2e levels of 2m * W
-    word-ORs, and the per-node searches k * (k + 2m) steps, so the bitset
-    runs when 2e * 2m * W <= k * (k + 2m); a long cycle keeps the
-    per-node searches. The sweep stops once e passes that bound, so it
-    costs at most k * (k + 2m) / 2W steps in arrays."""
+    Every cyclic component of at most 64 nodes is searched in one bitset of
+    one word a row, so many small components pay the bitset's fixed cost
+    once. A larger one is searched on its own. One sweep of it gives an
+    eccentricity e, so its diameter is at most 2e. The bitset takes at most
+    2e levels of 2m * W word-ORs, and the per-node searches k * (k + 2m)
+    steps, so the bitset runs when 2e * 2m * W <= k * (k + 2m); a long
+    cycle keeps the per-node searches. The sweep stops once e passes that
+    bound, so it costs at most k * (k + 2m) / 2W steps in arrays."""
     if g.n == 0:
         raise GraphError("diameter of empty graph")
     adj = None
@@ -674,6 +730,7 @@ def diameter(g):
     dist = [-1] * g.n
     best = 0
     sampled = False
+    small = []
     for comp in components_nodes(g):
         k = len(comp)
         ends = int(degree[comp].sum())
@@ -684,11 +741,14 @@ def diameter(g):
             sampled = True
             rng = random.Random(0)
             srcs = comp if k <= _DIAMETER_SAMPLES else rng.sample(comp, _DIAMETER_SAMPLES)
+        elif k <= 64:
+            small.append(comp)
+            continue
         else:
             ptr, nbr = _component_csr(g.indptr, g.indices, comp)
             ecc = _eccentricity(ptr, nbr, k * (k + ends) // (2 * ends * -(-k // 64)))
             if ecc is not None:
-                best = max(best, _bitset_diameter(ptr, nbr, ecc))
+                best = max(best, _bitset_diameter(ptr, nbr, ecc, *_own_bits(k)))
                 continue
             srcs, sweeps = comp, False
         if adj is None:
@@ -698,6 +758,8 @@ def diameter(g):
                 s, _ = _bfs_far(adj, s, dist)
             _, ecc = _bfs_far(adj, s, dist)
             best = max(best, ecc)
+    if small:
+        best = max(best, _small_diameter(g.indptr, g.indices, small))
     if sampled:
         warnings.warn("diameter sampled above %d nodes; value is a lower bound"
                       % _EXACT_DIAMETER_CAP)

@@ -174,8 +174,9 @@ class HashToMin(_Scheme):
             big = lens > self.tau
             if big.any():
                 rows = np.arange(lens.size, dtype=ids.dtype).repeat(lens)
-                high = big[rows] & (ids > rows)
-                target[high] = rows[high]
+                high = big.repeat(lens)
+                high &= ids > rows
+                np.copyto(target, rows, where=high)
                 messages += np.count_nonzero(np.logical_or.reduceat(high, starts))
         # The pairs (target, id) for every held id, then (id, target) for
         # every id that is not its own target. Positions from nonzero are

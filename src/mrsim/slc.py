@@ -102,7 +102,7 @@ class StopPredicate:
     def local(self, g, c):
         """Stop_local on one connected cluster of a weighted graph: the rule
         on its size and its top merge-tree edge."""
-        f, r = _tree(g, c)
+        f, r, _ = _tree(g, c)
         return bool(self.stopped(f.size[r], f.topw[r]))
 
     def __str__(self):
@@ -182,9 +182,10 @@ def _forest(g, members):
 
 
 def _tree(g, c):
-    """A connected cluster's own merge tree and its root. Each id must pass
-    operator.index, as Graph.weight's ends do: a float id is refused, never
-    truncated."""
+    """A connected cluster's own merge tree, its root, and its ids as a
+    sorted tuple of ints. The cluster may be any collection of ids, a set
+    included; each id must pass operator.index, as Graph.weight's ends do:
+    a float id is refused, never truncated."""
     try:
         c = tuple(sorted(map(index, c)))
     except TypeError:
@@ -198,7 +199,7 @@ def _tree(g, c):
     f = _forest(g, c)
     if len(f.roots) != 1:
         raise GraphError("cluster %r is not connected" % (c,))
-    return f, f.roots[0]
+    return f, f.roots[0], c
 
 
 def _covered(f, lens, ids):
@@ -266,7 +267,7 @@ def split_repair(g, c, pred):
     """Highest nodes of the graph's merge forest inside the connected
     cluster c that are not stopped: keeps every valid core, recursively
     splits the rest."""
-    _tree(g, c)
+    _, _, c = _tree(g, c)
     f = _graph_forest(g)
     covered = _covered(f, np.array([len(c)], np.intp), np.array(c, np.intp))
     return _clusters(f, _highest(f, covered & _standing(f, pred)))

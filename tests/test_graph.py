@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from collections import deque
@@ -651,6 +652,166 @@ def test_relabel_validates_permutation():
         relabel(g, [0, 1, 2])
 
 
+def reference_csr(n, u, v, w=None):
+    """The CSR arrays (indptr, indices, rows, edge_weights) of the edges
+    (u[i], v[i]) with weights w[i], by the arithmetic the build once ran:
+    every code u * n + v and its split in int64, with indices and rows cast
+    to the id dtype, int32 while n * n < 2**31, at the end."""
+    dtype = np.int32 if n * n < 2 ** 31 else np.int64
+    u, v = np.asarray(u, np.int64), np.asarray(v, np.int64)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    codes = np.concatenate((lo * n + hi, hi * n + lo))
+    order = np.argsort(codes)
+    codes = codes[order]
+    rows = codes // n
+    indices = (codes - rows * n).astype(dtype)
+    indptr = np.zeros(n + 1, np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    w = None if w is None else np.concatenate((w, w)).astype(np.float64)[order]
+    return indptr, indices, rows.astype(dtype), w
+
+
+def assert_built_as(g, n, u, v, w=None):
+    """g's arrays are the reference's, dtypes included, and read-only."""
+    assert g.n == n
+    for got, want in zip((g.indptr, g.indices, g.rows, g.edge_weights),
+                         reference_csr(n, u, v, w)):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 46340, 46341])
+def test_every_build_matches_the_int64_reference(n):
+    """The constructor, load_edge_list, every generator (weighted or not),
+    relabel and relabel_random give the int64 reference's arrays on both
+    sides of the id dtype's switch: 46340 * 46340 < 2**31 < 46341 * 46341."""
+    ends = np.arange(n - 1)
+    children = np.arange(1, n)
+    p = min(0.5, 1e4 / n ** 2)
+    for weighted in (False, True):
+        def drawn(seed, count):
+            rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+            return np.array(reference_weights(rng, count)) if weighted else None
+
+        assert_built_as(gen_path(n, weighted, seed=1), n, ends, ends + 1, drawn(1, n - 1))
+        assert_built_as(gen_complete_binary_tree(n, weighted, seed=2), n,
+                        (children - 1) // 2, children, drawn(2, n - 1))
+        assert_built_as(gen_star(n, weighted, seed=3), n, np.zeros(n - 1), children,
+                        drawn(3, n - 1))
+        rows, cols, rng = reference_edges(n, p, 4)
+        w = drawn(rng, rows.size)
+        g = gen_random(n, p, seed=4, weighted=weighted)
+        assert_built_as(g, n, rows, cols, w)
+        if n <= 2:
+            full, fcols = np.triu_indices(n, 1)
+            assert_built_as(gen_random(n, 1.0, seed=5, weighted=weighted), n, full, fcols,
+                            drawn(5, full.size))
+
+        perm = list(range(n))
+        random.Random(6).shuffle(perm)
+        to = np.array(perm)
+        assert_built_as(relabel(g, perm), n, to[rows], to[cols], w)
+        h, got = relabel_random(g, 6)
+        assert got == perm
+        assert_built_as(h, n, to[rows], to[cols], w)
+
+        # The same edges in shuffled order and orientation.
+        order = list(range(rows.size))
+        random.Random(7).shuffle(order)
+        edges = [(int(cols[i]), int(rows[i])) if i % 2 else (int(rows[i]), int(cols[i]))
+                 for i in order]
+        weights = dict(zip(edges, w[order].tolist())) if weighted else None
+        assert_built_as(Graph(n, edges, weights), n, rows[order], cols[order],
+                        None if w is None else w[order])
+
+        # A file names the path's nodes by ids 3x + 2, compacted back to x.
+        lines = ["%d %d" % (3 * a + 2, 3 * b + 2) for a, b in zip(ends, ends + 1)]
+        if weighted:
+            lines = ["%s %r" % (line, x) for line, x in zip(lines, drawn(8, n - 1).tolist())]
+        loaded = load_edge_list("\n".join(lines), weighted=weighted)
+        if n > 1:
+            assert loaded.original_ids == tuple(range(2, 3 * n + 2, 3))
+            assert_built_as(loaded, n, ends, ends + 1, drawn(8, n - 1))
+
+
+@pytest.mark.parametrize("n", [46340, 46341])
+def test_build_faults_read_alike_on_both_sides_of_the_dtype_switch(n):
+    """Ids out of range, a self-loop, a duplicate in either orientation and
+    a repeated weight give the same GraphError messages from Graph(...),
+    from id arrays of either width as the generators pass them, and, named
+    by line and by the file's ids, from load_edge_list."""
+    top = n - 1
+    cases = [
+        ([(0, 1), (top, n)], "edge (%d, %d) outside id range 0..%d" % (top, n, top)),
+        ([(0, 1), (-1, top)], "edge (-1, %d) outside id range 0..%d" % (top, top)),
+        # A cast to int32 before the check would wrap this id onto node 1.
+        ([(0, 2), (2 ** 32 + 1, 2)], "edge (%d, 2) outside id range 0..%d" % (2 ** 32 + 1, top)),
+        ([(0, 1), (top, top)], "self-loop at node %d" % top),
+        ([(0, top), (1, 2), (0, top)], "duplicate edge (0, %d)" % top),
+        ([(0, top), (1, 2), (top, 0)], "duplicate edge (0, %d)" % top),
+    ]
+    for edges, msg in cases:
+        with pytest.raises(GraphError, match="^%s$" % re.escape(msg)):
+            Graph(n, edges)
+        widths = (np.int32, np.int64) if max(map(max, edges)) < 2 ** 31 else (np.int64,)
+        for dtype in widths:
+            u, v = np.array(edges, dtype).T
+            with pytest.raises(GraphError, match="^%s$" % re.escape(msg)):
+                Graph._from_arrays(n, u, v)
+    with pytest.raises(GraphError, match="^duplicate weight 0.5$"):
+        Graph(n, [(0, top), (1, 2)], {(top, 0): 0.5, (1, 2): 0.5})
+    path = ["%d %d %r" % (x, x + 1, (x + 1) / n) for x in range(top)]
+    for line, msg in (("%d %d 0.25" % (top, top), "self-loop at node %d" % top),
+                      ("%d %d 0.25" % (top, top - 1), "duplicate edge (%d, %d)" % (top - 1, top)),
+                      ("0 2 %r" % (1 / n), "duplicate weight %r" % (1 / n))):
+        with pytest.raises(GraphError, match="^line %d: %s$" % (n, re.escape(msg))):
+            load_edge_list("\n".join(path + [line]), weighted=True)
+
+
+def test_relabel_reads_lists_and_integer_arrays_alike():
+    """A list, a tuple and int32, int64 and unsigned arrays give the same
+    graph; each id is checked against the range before the cast to the id
+    dtype, so an id that the cast would wrap onto a missing one is
+    refused."""
+    g = gen_random(60, 0.1, seed=2, weighted=True)
+    perm = list(range(60))
+    random.Random(3).shuffle(perm)
+    want = relabel(g, perm)
+    for p in [tuple(perm)] + [np.array(perm, t) for t in (np.int32, np.int64, np.uint8,
+                                                             np.uint32, np.uint64)]:
+        h = relabel(g, p)
+        for a, b in zip((h.indptr, h.indices, h.rows, h.edge_weights),
+                        (want.indptr, want.indices, want.rows, want.edge_weights)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    wrapped = [2 ** 32 + x if x == 7 else x for x in perm]
+    for p in (wrapped, np.array(wrapped), np.array(wrapped, np.uint64),
+              np.array(perm[:-1] + [-1]), np.array([2 ** 63 + x for x in perm], np.uint64)):
+        with pytest.raises(GraphError, match="permutation"):
+            relabel(g, p)
+
+
+def test_relabel_random_digests():
+    """sha256 pins of relabel_random's CSR arrays and permutation: the
+    paths benchmark's 2^15 path and a weighted random."""
+    def digest(g, perm):
+        arrays = [np.asarray(g.indptr, "<i8"), np.asarray(g.indices, "<i4"),
+                  np.asarray(g.rows, "<i4"), np.asarray(perm, "<i8")]
+        if g.edge_weights is not None:
+            arrays.append(np.asarray(g.edge_weights, "<f8"))
+        assert (g.indptr.dtype, g.indices.dtype, g.rows.dtype) == (np.intp, np.int32, np.int32)
+        return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+    g, perm = relabel_random(gen_path(32768), 1)
+    assert type(perm) is list
+    assert (g.m, digest(g, perm)) == (
+        32767, "559143494f004819cd67bb6dee576eb625dfc5107ddb94e80681e75799c04fbc")
+    g, perm = relabel_random(gen_random(300, 0.05, seed=4, weighted=True), 5)
+    assert (g.m, digest(g, perm)) == (
+        2218, "bf6a5266609a11e147827bc6d3da1959430b941384ad4c9a70ff6a3e093e8aa0")
+
+
 def test_components_nodes():
     """Each component is a list of its nodes ascending, and the lists are
     ordered by their least member, whatever order the search reaches
@@ -826,6 +987,24 @@ def test_diameter_mixes_tree_and_cyclic_components():
     assert _matches_the_search(_union(300, gen_path(7), _cycle(150), gen_star(9))) == 75
     assert _matches_the_search(
         _union(400, _cycle(12), _complete(65), _cycle(64), _cycle(41), gen_path(3))) == 32
+
+
+def test_diameter_searches_small_cyclic_components_together():
+    """Every cyclic component of at most 64 nodes shares one bitset of one
+    word a row: many triangles and 4-cycles, 64-node complete graphs and
+    cycles and a short random, beside no larger component, trees, and
+    larger cyclic components of smaller and greater diameter; as placed,
+    and relabeled so that the components' nodes interleave."""
+    small = [_cycle(3)] * 40 + [_cycle(4)] * 10 + [
+        _complete(64), _cycle(63), _cycle(64), gen_random(40, 0.15, seed=2)]
+    for big, want in (([], 32), ([gen_path(90), gen_star(5)], 89), ([_complete(100)], 32),
+                      ([_cycle(65)], 32), ([_cycle(200), gen_path(7)], 100)):
+        n = sum(part.n for part in small + big) + 3
+        g = _union(n, *small, *big)
+        assert _matches_the_search(g) == want
+        assert _matches_the_search(relabel_random(g, 1)[0]) == want
+    triangles = _union(3000, *[_cycle(3)] * 1000)
+    assert _matches_the_search(relabel_random(triangles, 2)[0]) == 1
 
 
 def test_diameter_is_exact_at_the_size_cap():

@@ -170,6 +170,12 @@ def test_mcd_examples():
         with pytest.raises(GraphError, match="integer ids"):
             split_repair(path, bad, StopPredicate("dist", 0.5))
     assert mcd(path, (np.int64(0), np.int32(1))) == mcd(path, (0, 1))
+    # A set, a list and an array answer as the equal tuple.
+    for same in ({0, 1}, frozenset((1, 2, 0)), [1, 0], np.array([2, 1])):
+        key = tuple(sorted(same))
+        assert mcd(path, same) == mcd(path, key)
+        assert (split_repair(path, same, StopPredicate("dist", 0.5))
+                == split_repair(path, key, StopPredicate("dist", 0.5)))
 
 
 def test_mcd_partitions_into_maximal_cores():
