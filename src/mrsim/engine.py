@@ -164,10 +164,11 @@ def _start(state, n):
     """The start state as CSR arrays of the engine's dtypes, checked as
     round 0. A tuple of two numpy arrays is a CSR pair (lens, ids), the form
     RunResult.final has: lens are cast to intp and ids to _id_dtype(n), and
-    a value either cast would change is an EngineFault, an id outside
-    0..n-1 with the message _pack gives it. Anything else is a list of
-    clusters, packed, whose every id must pass operator.index: a float id
-    is refused, never truncated. Either form must hold n clusters."""
+    a lens or ids array that is not 1-D, or a value either cast would
+    change, is an EngineFault, an id outside 0..n-1 with the message _pack
+    gives it. Anything else is a list of clusters, packed, whose every id
+    must pass operator.index: a float id is refused, never truncated.
+    Either form must hold n clusters."""
     if not (isinstance(state, tuple) and len(state) == 2
             and all(isinstance(a, np.ndarray) for a in state)):
         try:
@@ -178,6 +179,8 @@ def _start(state, n):
             raise EngineFault(_COVER % n)
         return _check_held(0, n, *_pack(state, n))
     lens, ids = state
+    if lens.ndim != 1 or ids.ndim != 1:
+        raise EngineFault("initial state's lens and ids must be 1-D arrays")
     if lens.size != n:
         raise EngineFault(_COVER % n)
     lens = _exact(lens, np.intp)
@@ -425,6 +428,10 @@ def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):
     skipped. export and final get the last state as held, checked as every
     state is; snapshots are tuples of tuples of Python ints, as _unpack(final).
     """
+    try:
+        max_rounds = index(max_rounds)
+    except TypeError:
+        raise EngineFault("max_rounds must be an integer, got %r" % (max_rounds,)) from None
     if max_rounds < 1:
         raise EngineFault("max_rounds must be at least 1")
     state = _start(scheme.init_state(g) if initial_state is None else initial_state, g.n)

@@ -39,13 +39,14 @@ it as one id-dtype array.
 components_nodes finds each node's root, its component's least member, by
 a union-find over the upper edges in arrays, and groups the nodes by a
 stable argsort of the roots. diameter counts each component's edges from
-the degrees. A cyclic component below the size cap takes a bit-parallel
-all-source search in arrays, or one breadth-first search per node where
-that counts less work; the Python searches walk neighbor tuples cut from
-the CSR arrays for the one call, keep one list of n distances and use a
-plain list as their queue, handing the distances back all -1 after each
-search so that one list serves every source. The cyclic components of at
-most 64 nodes share one bitset of one word a node.
+the degrees. Below the size cap every cyclic component takes a
+bit-parallel all-source search in arrays, and the cyclic components of at
+most 64 nodes share one bitset of one word a node. Trees, and graphs
+above the cap, take double sweeps of breadth-first searches: these walk
+neighbor tuples cut from the CSR arrays for the one call, keep one list
+of n distances and use a plain list as their queue, handing the
+distances back all -1 after each search so that one list serves every
+source.
 """
 
 import itertools
@@ -58,7 +59,8 @@ from collections.abc import Mapping
 
 import numpy as np
 
-# All-source BFS above this size is replaced by sampled double sweeps.
+# Above this many nodes the exact all-source search gives way to sampled
+# double sweeps.
 _EXACT_DIAMETER_CAP = 4096
 _DIAMETER_SAMPLES = 32
 
@@ -633,33 +635,18 @@ def _component_csr(indptr, indices, comp):
     return ptr, np.searchsorted(comp, indices[pos])
 
 
-def _eccentricity(ptr, nbr, most):
-    """The eccentricity of node 0 in a connected graph of k >= 2 nodes given
-    as CSR arrays, or None when it passes most: the levels a reached-mask
-    takes to fill when each level ORs every node's neighbors' bits into its
-    own."""
-    heads = ptr[:-1]
-    reached = np.zeros(heads.size, bool)
-    reached[0] = True
-    ecc = 0
-    while not reached.all():
-        if ecc == most:
-            return None
-        reached |= np.logical_or.reduceat(reached[nbr], heads)
-        ecc += 1
-    return ecc
-
-
-def _bitset_diameter(ptr, nbr, low, bits, full):
-    """The greatest diameter, at least low, of the connected components (of
-    at least 2 nodes each) of a graph given as CSR arrays, by an all-source
-    search 64 sources to a machine word (the bit-parallel BFS of Akiba,
-    Iwata and Yoshida, 2013). Each node has a bit of its own among its
-    component's, and row x of the k x W uint64 array bits starts with x's
-    bit alone set; full is each row with all its component's bits set, or
-    one row for every row. A row has v's bit set when dist(v, x) is at most
-    the level, and each level ORs every row with its neighbors' rows; the
-    answer is the first level at which every row is full. The neighbors'
+def _bitset_diameter(ptr, nbr, bits, full):
+    """The greatest diameter of the connected components (of at least 2
+    nodes each) of a graph given as CSR arrays, by an all-source search 64
+    sources to a machine word (the bit-parallel BFS of Akiba, Iwata and
+    Yoshida, 2013). Each node has a bit of its own among its component's,
+    and row x of the k x W uint64 array bits starts with x's bit alone set;
+    full is each row with all its component's bits set, or one row for
+    every row. A row has v's bit set when dist(v, x) is at most the level,
+    and each level ORs every row with its neighbors' rows; the answer is
+    the first level at which every row is full. A component's nodes fit in
+    W words, so it has at most 64 * W of them and every row is full before
+    level 64 * W; start rows that cannot fill raise there. The neighbors'
     rows are gathered for blocks of whole rows of at most max(2m, k * W) // W
     CSR entries, which one row's k - 1 never passes, so no temporary holds
     more than max(2m, k * W) words."""
@@ -672,7 +659,9 @@ def _bitset_diameter(ptr, nbr, low, bits, full):
         blocks.append((a, b, nbr[ptr[a]:ptr[b]], ptr[a:b] - ptr[a]))
         a = b
     level = 0
-    while level < low or not (bits == full).all():
+    while not (bits == full).all():
+        if level == 64 * words:
+            raise GraphError("bitset rows not full after %d levels" % level)
         grown = np.empty_like(bits)
         for a, b, block, heads in blocks:
             np.bitwise_or(bits[a:b], np.bitwise_or.reduceat(bits.take(block, axis=0), heads),
@@ -706,23 +695,21 @@ def _small_diameter(indptr, indices, comps):
     bits = np.left_shift(np.uint64(1), rank[order].astype(np.uint64))
     full = np.right_shift(np.uint64(2 ** 64 - 1),
                           (64 - np.repeat(sizes, sizes)[order]).astype(np.uint64))
-    return _bitset_diameter(ptr, nbr, 0, bits[:, None], full[:, None])
+    return _bitset_diameter(ptr, nbr, bits[:, None], full[:, None])
 
 
 def diameter(g):
     """Longest shortest path over all components. Exact on forests (double
-    sweep) and below a size cap (an all-source search, bit-parallel or one
-    breadth-first search per node, whichever counts less work); sampled
-    above, with a warning.
+    sweep) and below a size cap, where every cyclic component takes the
+    bit-parallel all-source search of _bitset_diameter; sampled above, with
+    a warning.
 
     Every cyclic component of at most 64 nodes is searched in one bitset of
     one word a row, so many small components pay the bitset's fixed cost
-    once. A larger one is searched on its own. One sweep of it gives an
-    eccentricity e, so its diameter is at most 2e. The bitset takes at most
-    2e levels of 2m * W word-ORs, and the per-node searches k * (k + 2m)
-    steps, so the bitset runs when 2e * 2m * W <= k * (k + 2m); a long
-    cycle keeps the per-node searches. The sweep stops once e passes that
-    bound, so it costs at most k * (k + 2m) / 2W steps in arrays."""
+    once. A larger one is searched on its own, in W = ceil(k / 64) words a
+    row. Each level ORs 2m * W words, so a long thin component, whose
+    diameter is near its k nodes, takes some k * 2m * W: a long cycle runs
+    slower than one breadth-first search per node would."""
     if g.n == 0:
         raise GraphError("diameter of empty graph")
     adj = None
@@ -733,9 +720,7 @@ def diameter(g):
     small = []
     for comp in components_nodes(g):
         k = len(comp)
-        ends = int(degree[comp].sum())
-        sweeps = True
-        if ends == 2 * (k - 1):
+        if int(degree[comp].sum()) == 2 * (k - 1):
             srcs = comp[:1]
         elif g.n > _EXACT_DIAMETER_CAP:
             sampled = True
@@ -746,16 +731,12 @@ def diameter(g):
             continue
         else:
             ptr, nbr = _component_csr(g.indptr, g.indices, comp)
-            ecc = _eccentricity(ptr, nbr, k * (k + ends) // (2 * ends * -(-k // 64)))
-            if ecc is not None:
-                best = max(best, _bitset_diameter(ptr, nbr, ecc, *_own_bits(k)))
-                continue
-            srcs, sweeps = comp, False
+            best = max(best, _bitset_diameter(ptr, nbr, *_own_bits(k)))
+            continue
         if adj is None:
             adj = _neighbors(g.indptr, g.indices)
         for s in srcs:
-            if sweeps:
-                s, _ = _bfs_far(adj, s, dist)
+            s, _ = _bfs_far(adj, s, dist)
             _, ecc = _bfs_far(adj, s, dist)
             best = max(best, ecc)
     if small:

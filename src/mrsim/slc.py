@@ -278,13 +278,15 @@ def stop_round(g, state, pred):
     the largest of the clusters' maximal cores that holds it, read off the
     graph's merge forest, and require Stop_local on all of them. The state
     is checked first, under every predicate: a GraphError unless lens and
-    ids are integer arrays, lens are at least 0 and sum to ids.size, every
+    ids are 1-D integer arrays, lens are at least 0 and sum to ids.size, every
     id is in 0..n-1 and every node is held. Any number of clusters may be
     given. Every core is stopped iff every highest standing node has a
     covered parent (see the module docstring)."""
     lens, ids = state
-    if lens.dtype.kind not in "iu" or ids.dtype.kind not in "iu":
-        raise GraphError("a cluster state's lens and ids must be integer arrays")
+    if not (isinstance(lens, np.ndarray) and isinstance(ids, np.ndarray)
+            and lens.ndim == ids.ndim == 1
+            and lens.dtype.kind in "iu" and ids.dtype.kind in "iu"):
+        raise GraphError("a cluster state's lens and ids must be 1-D integer arrays")
     if lens.min(initial=0) < 0 or lens.sum() != ids.size:
         raise GraphError("a cluster state's lens must be at least 0 and sum to "
                          "its %d ids" % ids.size)

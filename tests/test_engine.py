@@ -90,6 +90,23 @@ def test_run_rejects_bad_max_rounds_and_state_length():
         run(g, HashMin(), 5, initial_state=[(0,), (1,)])
 
 
+@pytest.mark.parametrize("max_rounds", [2.5, "3", None, 3.0])
+def test_run_refuses_a_max_rounds_that_is_not_an_integer(max_rounds):
+    """Not a TypeError from the comparison or from range."""
+    with pytest.raises(EngineFault, match="max_rounds must be an integer"):
+        run(gen_path(3), HashMin(), max_rounds)
+
+
+def test_csr_initial_state_must_be_one_dimensional():
+    """2-D lens or ids are an EngineFault, not numpy's ValueError, even
+    when they hold n lens and ids that would cover the nodes."""
+    lens, ids = np.ones(4, np.intp), np.arange(4, dtype=np.int32)
+    for state in ((lens.reshape(2, 2), ids), (lens, ids.reshape(2, 2)),
+                  (lens, ids.reshape(4, 1)), (lens[None], ids[None])):
+        with pytest.raises(EngineFault, match="1-D"):
+            run(gen_path(4), HashMin(), 10, initial_state=state)
+
+
 class _SilentScheme:
     """Only node 0 speaks; everyone else receives nothing."""
 

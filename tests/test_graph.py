@@ -21,8 +21,10 @@ from mrsim.graph import (
     Graph,
     GraphError,
     _bfs_far,
+    _bitset_diameter,
     _draws,
     _edge_indices,
+    _own_bits,
     _unique_weights,
     _unrank,
     components_nodes,
@@ -947,6 +949,13 @@ def _complete(n):
     return gen_random(n, 1.0, seed=0)
 
 
+def _grid(side):
+    """The side x side grid, node r * side + c at row r and column c."""
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    return Graph(side * side, edges)
+
+
 def _union(n, *parts):
     """The disjoint union of the parts, placed one after another, on n
     nodes; the nodes past the last part are isolated."""
@@ -968,9 +977,10 @@ def _matches_the_search(g):
 
 @pytest.mark.parametrize("n", [63, 64, 65, 129])
 def test_diameter_matches_the_search_around_word_widths(n):
-    """Complete graphs, cycles (the short ones take the bitset, the long
-    ones the per-node searches) and slc-style weighted randoms, on a word's
-    worth of nodes and either side of it."""
+    """Complete graphs, cycles (a cycle of at most 64 nodes shares the
+    one-word bitset, a longer one takes W = ceil(n / 64) words a row) and
+    slc-style weighted randoms, on a word's worth of nodes and either side
+    of it."""
     assert _matches_the_search(_complete(n)) == 1
     assert _matches_the_search(_cycle(n)) == n // 2
     for seed in range(3):
@@ -980,13 +990,17 @@ def test_diameter_matches_the_search_around_word_widths(n):
 
 def test_diameter_mixes_tree_and_cyclic_components():
     """A long tree beside short cyclic components, a long cycle beside short
-    trees, and cyclic components of different diameters with the longest in
-    the middle; each cyclic component is searched on its own nodes."""
+    trees, cyclic components of different diameters with the longest in
+    the middle, a 20 x 20 grid and a 300-node cycle with the chord (0, 150);
+    each cyclic component is searched on its own nodes."""
     short = [_cycle(5), _complete(9), gen_random(70, 0.1, seed=4)]
     assert _matches_the_search(_union(400, *short, gen_path(150), gen_star(6))) == 149
     assert _matches_the_search(_union(300, gen_path(7), _cycle(150), gen_star(9))) == 75
     assert _matches_the_search(
         _union(400, _cycle(12), _complete(65), _cycle(64), _cycle(41), gen_path(3))) == 32
+    assert _matches_the_search(_union(430, gen_path(20), _grid(20), _cycle(6))) == 38
+    chorded = Graph(300, list(_cycle(300).edges()) + [(0, 150)])
+    assert _matches_the_search(_union(310, gen_star(4), chorded, _cycle(5))) == 150
 
 
 def test_diameter_searches_small_cyclic_components_together():
@@ -1005,6 +1019,23 @@ def test_diameter_searches_small_cyclic_components_together():
         assert _matches_the_search(relabel_random(g, 1)[0]) == want
     triangles = _union(3000, *[_cycle(3)] * 1000)
     assert _matches_the_search(relabel_random(triangles, 2)[0]) == 1
+
+
+def test_bitset_diameter_raises_on_rows_that_cannot_fill():
+    """Start rows that miss a node's bit, or a full row that asks for a
+    bit past the component's nodes, never fill; no diameter reaches
+    64 * W levels, so the search raises there instead of running on."""
+    for k in (3, 70, 130):
+        g = _cycle(k)
+        bits, full = _own_bits(k)
+        assert _bitset_diameter(g.indptr, g.indices, bits, full) == k // 2
+        missing = bits.copy()
+        missing[k - 1] = 0
+        wide = full.copy()
+        wide[-1] = np.uint64(2 ** 64 - 1)
+        for rows, want in ((missing, full), (bits, wide)):
+            with pytest.raises(GraphError, match="after %d levels" % (64 * full.size)):
+                _bitset_diameter(g.indptr, g.indices, rows, want)
 
 
 def test_diameter_is_exact_at_the_size_cap():
