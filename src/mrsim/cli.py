@@ -25,6 +25,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+_FAMILIES = {"path": gen_path, "tree": gen_complete_binary_tree, "star": gen_star}
+
+
 def parse_graph_spec(spec, weighted=False, seed=0):
     """family:params or file:path -> Graph. Families: path:N, tree:N, star:N,
     random:N:P."""
@@ -44,14 +47,13 @@ def parse_graph_spec(spec, weighted=False, seed=0):
         except ValueError:
             raise GraphError("bad random spec %r (want random:N:P)" % spec) from None
         return gen_random(n, p, seed=seed, weighted=weighted)
-    makers = {"path": gen_path, "tree": gen_complete_binary_tree, "star": gen_star}
-    if kind not in makers:
+    if kind not in _FAMILIES:
         raise GraphError("unknown graph family %r" % kind)
     try:
         n = int(rest)
     except ValueError:
         raise GraphError("bad size in graph spec %r" % spec) from None
-    return makers[kind](n, weighted=weighted, seed=seed)
+    return _FAMILIES[kind](n, weighted=weighted, seed=seed)
 
 
 def _positive_int(text):
@@ -73,11 +75,24 @@ def _parse_seeds(args):
     return range(args.seeds)
 
 
-def _ordered(g, seed):
-    """Seed 0 runs the graph as built; higher seeds shuffle the ids."""
-    if seed == 0:
-        return g
-    return relabel_random(g, seed)[0]
+def _runs(g, seeds, args):
+    """(seed, graph as run, result) for one run of args.algo per seed, each
+    yielded as it ends: seed 0 runs g as built, any other seed relabels it.
+    engine.run is looked up on the module at each run, so a patch applies."""
+    for seed in seeds:
+        gs = g if seed == 0 else relabel_random(g, seed)[0]
+        yield seed, gs, engine.run(gs, make_scheme(args.algo, args.tau), args.max_rounds)
+
+
+def _exit_code(mismatch, converged, max_rounds, differ):
+    """3 on a verify mismatch, 2 on a run that did not converge, else 0."""
+    if mismatch:
+        sys.stderr.write("verify: %s\n" % differ)
+        return 3
+    if not converged:
+        sys.stderr.write("did not converge within %d rounds\n" % max_rounds)
+        return 2
+    return 0
 
 
 def cmd_gen(args):
@@ -96,24 +111,18 @@ def cmd_gen(args):
 
 def cmd_run(args):
     g = parse_graph_spec(args.graph, weighted=args.weighted, seed=args.graph_seed)
-    any_unconverged = False
-    any_mismatch = False
+    converged, mismatch = True, False
     if args.format == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(["algo", "seed", "n", "rounds", "converged", "n_components",
                     "messages_total", "volume_total", "max_reducer_in",
                     "max_total_state", "verified"])
-    for seed in _parse_seeds(args):
-        gs = _ordered(g, seed)
-        scheme = make_scheme(args.algo, args.tau)
-        result = engine.run(gs, scheme, args.max_rounds)
-        if not result.converged:
-            any_unconverged = True
+    for seed, gs, result in _runs(g, _parse_seeds(args), args):
+        converged &= result.converged
         ok = None
         if args.verify and result.converged:
             ok = result.components == oracle.union_find_components(gs)
-            if not ok:
-                any_mismatch = True
+            mismatch |= not ok
         if args.format == "json":
             print(engine.result_to_json(result, seed=seed))
         else:
@@ -126,13 +135,7 @@ def cmd_run(args):
                 max((m.total_state for m in result.per_round), default=0),
                 "" if ok is None else int(ok),
             ])
-    if any_mismatch:
-        sys.stderr.write("verify: components differ from oracle\n")
-        return 3
-    if any_unconverged:
-        sys.stderr.write("did not converge within %d rounds\n" % args.max_rounds)
-        return 2
-    return 0
+    return _exit_code(mismatch, converged, args.max_rounds, "components differ from oracle")
 
 
 def cmd_sweep(args):
@@ -146,16 +149,12 @@ def cmd_sweep(args):
                 "max_state_mean", "bound_3VE"])
     exhausted = False
     for n in sizes:
-        g = parse_graph_spec("%s:%d" % (args.family, n))
+        g = _FAMILIES[args.family](n)
         d = diameter(g)
         rounds_worst = 0
         state_maxes = []
-        for seed in range(args.seeds_per_size):
-            gs = _ordered(g, seed)
-            scheme = make_scheme(args.algo, args.tau)
-            result = engine.run(gs, scheme, args.max_rounds)
-            if not result.converged:
-                exhausted = True
+        for _, _, result in _runs(g, range(args.seeds_per_size), args):
+            exhausted |= not result.converged
             rounds_worst = max(rounds_worst, result.rounds)
             state_maxes.append(max((m.total_state for m in result.per_round), default=0))
         log2_d = math.log2(d) if d > 0 else 0.0
@@ -175,6 +174,8 @@ def cmd_slc(args):
     if args.verify and result.converged:
         expect = oracle.centralized_slc(g, pred.kind, pred.param)
         mismatch = result.clusters != expect
+    n_clusters = len(result.clusters)
+    largest = max((len(c) for c in result.clusters), default=0)
     if args.format == "json":
         doc = {
             "algo": result.algo,
@@ -182,8 +183,8 @@ def cmd_slc(args):
             "rounds": result.rounds,
             "converged": result.converged,
             "stopped": result.stopped,
-            "n_clusters": len(result.clusters),
-            "largest": max((len(c) for c in result.clusters), default=0),
+            "n_clusters": n_clusters,
+            "largest": largest,
             "clusters": [list(c) for c in result.clusters],
         }
         print(json.dumps(doc, separators=(",", ":")))
@@ -192,64 +193,58 @@ def cmd_slc(args):
         w.writerow(["algo", "stop", "n", "rounds", "converged", "stopped",
                     "n_clusters", "largest"])
         w.writerow([result.algo, result.stop, g.n, result.rounds,
-                    int(result.converged), int(result.stopped),
-                    len(result.clusters),
-                    max((len(c) for c in result.clusters), default=0)])
-    if mismatch:
-        sys.stderr.write("verify: clusters differ from centralized reference\n")
-        return 3
-    if not result.converged:
-        sys.stderr.write("did not converge within %d rounds\n" % args.max_rounds)
-        return 2
-    return 0
+                    int(result.converged), int(result.stopped), n_clusters, largest])
+    return _exit_code(mismatch, result.converged, args.max_rounds,
+                      "clusters differ from centralized reference")
 
 
 def build_parser():
     p = _Parser(prog="mrsim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--graph", required=True,
-                        help="family:params (path:N, tree:N, star:N, random:N:P) or file:PATH")
-    common.add_argument("--graph-seed", type=int, default=0,
-                        help="seed for random family and weight draws")
+    # Each option that commands share is declared once, in a parent parser.
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", required=True,
+                       help="family:params (path:N, tree:N, star:N, random:N:P) or file:PATH")
+    graph.add_argument("--graph-seed", type=int, default=0,
+                       help="seed for random family and weight draws")
+    weighted = argparse.ArgumentParser(add_help=False)
+    weighted.add_argument("--weighted", action="store_true")
+    scheme = argparse.ArgumentParser(add_help=False)
+    scheme.add_argument("--algo", choices=SCHEME_NAMES, default="hash-to-min")
+    scheme.add_argument("--tau", type=float,
+                        help="reducer load threshold for hash-to-min-lb (integer >= 1 or inf)")
+    rounds = argparse.ArgumentParser(add_help=False)
+    rounds.add_argument("--max-rounds", type=_positive_int, default=10000)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
 
-    g = sub.add_parser("gen", parents=[common], help="write an edge list")
-    g.add_argument("--weighted", action="store_true")
+    g = sub.add_parser("gen", parents=[graph, weighted], help="write an edge list")
     g.add_argument("--out", help="output file (default stdout)")
     g.set_defaults(fn=cmd_gen)
 
-    r = sub.add_parser("run", parents=[common], help="run a component scheme")
-    r.add_argument("--algo", choices=SCHEME_NAMES, default="hash-to-min")
-    r.add_argument("--weighted", action="store_true")
-    r.add_argument("--tau", type=float,
-                   help="reducer load threshold for hash-to-min-lb (integer >= 1 or inf)")
+    r = sub.add_parser("run", parents=[graph, weighted, scheme, rounds, fmt],
+                       help="run a component scheme")
     seeds = r.add_mutually_exclusive_group()
     seeds.add_argument("--seeds", type=_positive_int, default=1,
                        help="run orderings 0..N-1, N >= 1 (ordering 0 = as built)")
     seeds.add_argument("--seed-list", help="comma-separated ordering seeds")
-    r.add_argument("--max-rounds", type=_positive_int, default=10000)
-    r.add_argument("--format", choices=("json", "csv"), default="json")
     r.add_argument("--verify", action="store_true",
                    help="compare components against the centralized reference")
     r.set_defaults(fn=cmd_run)
 
-    s = sub.add_parser("sweep", help="round/state bounds over a size ladder (CSV)")
+    s = sub.add_parser("sweep", parents=[scheme, rounds],
+                       help="round/state bounds over a size ladder (CSV)")
     s.add_argument("--family", choices=("path", "tree"), required=True)
     s.add_argument("--sizes", required=True, help="comma-separated node counts")
     s.add_argument("--seeds-per-size", type=_positive_int, default=3)
-    s.add_argument("--algo", choices=SCHEME_NAMES, default="hash-to-min")
-    s.add_argument("--tau", type=float,
-                   help="reducer load threshold for hash-to-min-lb (integer >= 1 or inf)")
-    s.add_argument("--max-rounds", type=_positive_int, default=10000)
     s.set_defaults(fn=cmd_sweep)
 
-    c = sub.add_parser("slc", parents=[common], help="distributed single-linkage clustering")
+    c = sub.add_parser("slc", parents=[graph, rounds, fmt],
+                       help="distributed single-linkage clustering")
     c.add_argument("--algo", choices=("hash-to-all", "hash-to-min"),
                    default="hash-to-all")
     c.add_argument("--stop", default="never", help="dist:x, size:n, or never")
-    c.add_argument("--max-rounds", type=_positive_int, default=10000)
-    c.add_argument("--format", choices=("json", "csv"), default="json")
     c.add_argument("--verify", action="store_true",
                    help="compare against the centralized reference")
     c.set_defaults(fn=cmd_slc)

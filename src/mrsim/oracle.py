@@ -11,13 +11,6 @@ from numbers import Integral, Real
 from .graph import GraphError, components_nodes
 
 
-def canonical_partition(groups):
-    """Sort members and groups (by first member) for stable comparison."""
-    out = [tuple(sorted(grp)) for grp in groups if len(grp) > 0]
-    out.sort()
-    return out
-
-
 def union_find_components(g):
     """Connected components by union-find over the graph's arrays:
     graph.components_nodes, whose lists are already ascending and ordered

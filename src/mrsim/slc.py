@@ -230,10 +230,14 @@ def _covered(f, lens, ids):
     return reach[f.lo] >= f.lo + f.size
 
 
+def _check_predicate(pred):
+    if not isinstance(pred, StopPredicate):
+        raise GraphError("stop predicate must be a StopPredicate, got %r" % (pred,))
+
+
 def _standing(f, pred):
-    """The nodes of the forest f that Stop_local does not stop, as a mask
-    (a scalar True under 'never')."""
-    return np.logical_not(pred.stopped(f.size, f.topw))
+    """The nodes of the forest f that Stop_local does not stop, as a mask."""
+    return np.logical_not(pred.stopped(f.size, f.topw), out=np.empty(f.size.size, bool))
 
 
 def _highest(f, keep):
@@ -267,6 +271,7 @@ def split_repair(g, c, pred):
     """Highest nodes of the graph's merge forest inside the connected
     cluster c that are not stopped: keeps every valid core, recursively
     splits the rest."""
+    _check_predicate(pred)
     _, _, c = _tree(g, c)
     f = _graph_forest(g)
     covered = _covered(f, np.array([len(c)], np.intp), np.array(c, np.intp))
@@ -281,7 +286,9 @@ def stop_round(g, state, pred):
     ids are 1-D integer arrays, lens are at least 0 and sum to ids.size, every
     id is in 0..n-1 and every node is held. Any number of clusters may be
     given. Every core is stopped iff every highest standing node has a
-    covered parent (see the module docstring)."""
+    covered parent (see the module docstring). A pred that is not a
+    StopPredicate is a GraphError too."""
+    _check_predicate(pred)
     lens, ids = state
     if not (isinstance(lens, np.ndarray) and isinstance(ids, np.ndarray)
             and lens.ndim == ids.ndim == 1
@@ -297,6 +304,8 @@ def stop_round(g, state, pred):
     if not held.all():
         raise GraphError("cluster collection does not cover every node")
     f = _graph_forest(g)
+    # Under 'never' a root stands in every nonempty graph, but a graph with
+    # no nodes has no root, and the core test below would hold vacuously.
     if pred.kind == "never":
         return False
     stands = _standing(f, pred)
@@ -336,8 +345,7 @@ def run_slc(g, algo, pred, max_rounds, cache=None):
     if algo not in _SLC_SCHEMES:
         raise GraphError("unknown growth scheme %r (choose from %s)"
                          % (algo, ", ".join(sorted(_SLC_SCHEMES))))
-    if not isinstance(pred, StopPredicate):
-        raise GraphError("stop predicate must be a StopPredicate, got %r" % (pred,))
+    _check_predicate(pred)
     try:
         max_rounds = index(max_rounds)
     except TypeError:

@@ -1,7 +1,9 @@
 """Command line tests: exit codes, output formats, file roundtrips."""
 
+import argparse
 import ast
 import csv
+import hashlib
 import io
 import json
 import math
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 import mrsim
 from mrsim import engine
-from mrsim.cli import main, parse_graph_spec
+from mrsim.cli import build_parser, main, parse_graph_spec
 from mrsim.engine import EngineFault
 from mrsim.graph import (MAX_NODES, MAX_RANDOM_NODES, GraphError, diameter, gen_random,
                          load_edge_list)
@@ -295,6 +297,104 @@ def test_slc_bad_stop_spec(capsys):
                    "--stop", "blah:3")[0] == 1
 
 
+ALGOS = ("hash-min", "hash-to-all", "hash-to-min", "hgtm-alt", "hash-to-min-lb")
+# Each command's options: flags -> (default, choices, type, required).
+OPTION_TABLE = {
+    "gen": {("--graph",): (None, None, None, True),
+            ("--graph-seed",): (0, None, "int", False),
+            ("--out",): (None, None, None, False),
+            ("--weighted",): (False, None, None, False)},
+    "run": {("--algo",): ("hash-to-min", ALGOS, None, False),
+            ("--format",): ("json", ("json", "csv"), None, False),
+            ("--graph",): (None, None, None, True),
+            ("--graph-seed",): (0, None, "int", False),
+            ("--max-rounds",): (10000, None, "_positive_int", False),
+            ("--seed-list",): (None, None, None, False),
+            ("--seeds",): (1, None, "_positive_int", False),
+            ("--tau",): (None, None, "float", False),
+            ("--verify",): (False, None, None, False),
+            ("--weighted",): (False, None, None, False)},
+    "slc": {("--algo",): ("hash-to-all", ("hash-to-all", "hash-to-min"), None, False),
+            ("--format",): ("json", ("json", "csv"), None, False),
+            ("--graph",): (None, None, None, True),
+            ("--graph-seed",): (0, None, "int", False),
+            ("--max-rounds",): (10000, None, "_positive_int", False),
+            ("--stop",): ("never", None, None, False),
+            ("--verify",): (False, None, None, False)},
+    "sweep": {("--algo",): ("hash-to-min", ALGOS, None, False),
+              ("--family",): (None, ("path", "tree"), None, True),
+              ("--max-rounds",): (10000, None, "_positive_int", False),
+              ("--seeds-per-size",): (3, None, "_positive_int", False),
+              ("--sizes",): (None, None, None, True),
+              ("--tau",): (None, None, "float", False)},
+}
+
+
+def test_option_table():
+    """Every command's options, read off the parser, with their defaults,
+    choices, types and required flags: none dropped, renamed or
+    re-defaulted by the option groups the commands share."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {tuple(a.option_strings): (
+        a.default, None if a.choices is None else tuple(a.choices),
+        getattr(a.type, "__name__", a.type), a.required)
+        for a in command._actions if not isinstance(a, argparse._HelpAction)}
+        for name, command in sub.choices.items()}
+    assert got == OPTION_TABLE
+
+
+# README's CLI block, command by command: exit code and sha256 of stdout.
+README_CLI = [
+    ("mrsim gen --graph random:200:0.02 --weighted --out g.txt", 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("mrsim run --graph path:64 --algo hash-min", 0,
+     "01c494550e882e4d6cfa8bdcf28179596286f87dfaef899f3ea9a464c0bfc2bb"),
+    ("mrsim run --graph path:2048 --algo hash-min --verify", 0,
+     "7aafef616f19f7a4a443f1482e4fcb1034cf4f703405287b0dc3628b0f3e2002"),
+    ("mrsim run --graph tree:255 --algo hash-to-all --format csv --verify", 0,
+     "8cef2c9540419191f7851183843825649713def4d29e1ddb2da14fad783be197"),
+    ("mrsim run --graph file:g.txt --weighted --algo hash-to-min-lb --tau 5 --seeds 10 "
+     "--verify", 0, "0dfc50b37b6b008afa1f44a7930ae8d2fa18a4a33c6c773ab40a7583430fa510"),
+    ("mrsim run --graph star:10001 --algo hash-to-min-lb --tau 100 --verify", 0,
+     "b05d60b1c64a81c0b6b2c04226af85c24ad741a4e1181e6df61d3d0a6b60d302"),
+    ("mrsim run --graph star:10 --algo hash-to-min-lb --tau 1 --max-rounds 3 --verify", 0,
+     "2ec38bbe357c8e86840566f9c7dfecd6a528cd50160d7f9c893a843f88672f72"),
+    ("mrsim run --graph path:32768 --algo hash-to-min --seed-list 1 --verify", 0,
+     "0f6a666ac804607cc37dfbe18cf697976ef183b16429769bd4758abd1243ede4"),
+    ("mrsim run --graph path:46341 --algo hash-to-min --seed-list 1 --verify", 0,
+     "5f967959b578fbd444cf1d3795ca61faaf5832cbab514458423d1e703796fd48"),
+    ("mrsim sweep --family path --sizes 32,64,128 --algo hgtm-alt", 0,
+     "3ab0958f091a6a4f15cfc285a85fc52b68929d15c7cb9f15a3d0dcf2f79d17c3"),
+    ("mrsim slc --graph random:80:0.1 --stop dist:0.4 --verify", 0,
+     "64b2b6e8d77abd4e5ff5333619bef91d48dba35c89d1eaa3121addebd4791e73"),
+    ("mrsim slc --graph random:80:0.1 --algo hash-to-all --stop dist:0.9 --verify", 0,
+     "42d65287adfc56f0be7263d4892bff8521c28ed8f8a564ca7e9db98818233c8e"),
+    ("mrsim slc --graph path:2000 --algo hash-to-min --stop size:20 --verify", 0,
+     "c74871a7754d0c0a249590eaa12fe5eb65caee204cef7538c298ddfb4e8718a3"),
+    ("mrsim slc --graph path:4096 --algo hash-to-min --stop size:20 --verify", 0,
+     "51ea7ce86b4b703e3e8827227808bd6b260218083de086d3af0282ce91bbfc55"),
+    ("mrsim slc --graph random:3000:0.002 --algo hash-to-min --stop size:30 --verify", 0,
+     "c5d31717e0e4393729e29c9ad39ffb1f00363cf0fdc9f44e4795c4c1fa2d3b43"),
+]
+
+
+def test_readme_cli_block(capsys, tmp_path, monkeypatch):
+    """Each command of README's CLI block, in order, in an empty directory
+    (the file:g.txt run reads what gen wrote): its exit code and the
+    sha256 of its stdout are pinned, so a change to any output byte
+    fails here. CI runs the same block as a shell script but checks only
+    the exit codes."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1].strip().splitlines()
+    assert block == [line for line, _, _ in README_CLI]
+    monkeypatch.chdir(tmp_path)
+    for line, want_code, want_sha in README_CLI:
+        code = main(line.split()[1:])
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, want_sha), line
+
+
 # Counts at the edges of C and numpy integer widths, and just inside them.
 COUNTS = ("1", "2", "3", str(2 ** 31 - 1), str(2 ** 31), str(2 ** 63 - 1), str(2 ** 63),
           str(10 ** 20))
@@ -340,7 +440,6 @@ OPTIONS = {
     "--seeds-per-size": (st.sampled_from(COUNTS), st.sampled_from(NOT_COUNTS)),
     "--out": (st.just("OUT"), st.just("NOFILE/x")),
 }
-ALGOS = ("hash-min", "hash-to-all", "hash-to-min", "hgtm-alt", "hash-to-min-lb")
 # Per command: the options it needs, the ones it may take, and its algos.
 COMMANDS = {
     "gen": (["--graph"], ["--graph-seed", "--out", "--weighted"], ()),

@@ -218,6 +218,10 @@ def test_split_repair_examples():
         split_repair(g, (0, 2), d)
     with pytest.raises(GraphError):
         split_repair(g, (-1,), StopPredicate("never"))
+    # A spec string or None is not a predicate.
+    for bad in ("size:3", None):
+        with pytest.raises(GraphError, match="StopPredicate"):
+            split_repair(g, (0, 1, 2), bad)
 
 
 def test_split_repair_matches_centralized_on_whole_components():
@@ -256,9 +260,13 @@ def test_stop_round_refuses_malformed_lens_and_ids():
     """lens that do not split the ids into clusters, and lens or ids that
     are not 1-D integer arrays, are GraphErrors under every predicate, not
     numpy's broadcast, repeat or index errors or a list's AttributeError.
-    The lens count need not be n."""
+    So is a pred that is not a StopPredicate. The lens count need not be
+    n."""
     g = gen_path(4, weighted=True)
     ids = np.arange(4)
+    for bad in ("size:1", None):
+        with pytest.raises(GraphError, match="StopPredicate"):
+            stop_round(g, (np.array([4]), ids), bad)
     bad_states = [(np.array([1, 1, 1]), ids), (np.array([3, -1, 1, 1]), ids),
                   (np.array([2, 2, 1]), ids), (np.array([4]), ids.astype(float)),
                   (np.array([4.0]), ids), ([1, 1, 1, 1], [0, 1, 2, 3]),
