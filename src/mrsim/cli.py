@@ -147,14 +147,14 @@ def cmd_sweep(args):
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["n", "d", "log2_d", "rounds_worst", "bound_2log2d",
                 "max_state_mean", "bound_3VE"])
-    exhausted = False
+    converged = True
     for n in sizes:
         g = _FAMILIES[args.family](n)
         d = diameter(g)
         rounds_worst = 0
         state_maxes = []
         for _, _, result in _runs(g, range(args.seeds_per_size), args):
-            exhausted |= not result.converged
+            converged &= result.converged
             rounds_worst = max(rounds_worst, result.rounds)
             state_maxes.append(max((m.total_state for m in result.per_round), default=0))
         log2_d = math.log2(d) if d > 0 else 0.0
@@ -163,7 +163,7 @@ def cmd_sweep(args):
                     "%.2f" % (sum(state_maxes) / len(state_maxes)),
                     3 * (g.n + g.m)])
     sys.stdout.write(out.getvalue())
-    return 2 if exhausted else 0
+    return _exit_code(False, converged, args.max_rounds, None)
 
 
 def cmd_slc(args):

@@ -36,7 +36,9 @@ hash-to-all ships whole
 clusters, and its union is either a bitset OR, each cluster as
 ceil(n / 64) uint64 words, or a boolean sparse product: the bitset when
 its n rows fit in the held ids, the product otherwise, since on a large
-graph of small clusters the bitset's words outweigh the product's ids. A
+graph of small clusters the bitset's words outweigh the product's ids.
+The bitset's rows come from graph._bit_rows, the one builder of the
+bit-row format, which diameter's search shares. A
 scheme whose merge is more than the union of what a node receives also
 offers merge_arrays(rnd, new, prev), which maps each node's union and its
 previous state, both CSR, to its new state: hash-min keeps the least id
@@ -54,7 +56,7 @@ from operator import index, lt
 
 import numpy as np
 
-from .graph import _id_dtype
+from .graph import _bit_rows, _firsts, _id_dtype
 
 
 class EngineFault(Exception):
@@ -360,21 +362,15 @@ def _product_union(n, lens, ids, keys):
 
 def _bitset_union(n, lens, ids, keys):
     """The union with each cluster held as a row of ceil(n / 64) uint64
-    words, bit x of a row set when the cluster holds x. The sends are
+    words, bit x of a row set when the cluster holds x, built by the shared
+    graph._bit_rows from the state's sorted (node, id) pairs. The sends are
     sorted by key and each key's senders' rows ORed together. The senders'
     rows are gathered at most ids.size words at a time, and the union is
     unpacked at most 8 * ids.size bytes at a time, so no temporary grows
     with the id volume."""
     words = -(-n // 64)
     rows = np.repeat(np.arange(n), lens)
-    # One word per (row, ids // 64); a cluster's ids increase, so each
-    # word's bits lie next to each other.
-    slot = rows * words + ids // 64
-    bit = np.left_shift(np.uint64(1), (ids % 64).astype(np.uint64))
-    head = np.flatnonzero(_firsts(slot))
-    bits = np.zeros((n, words), np.uint64)
-    bits.flat[slot[head]] = np.bitwise_or.reduceat(bit, head)
-    del slot, bit, head
+    bits = _bit_rows(rows, ids, n, words)
     order = np.argsort(keys)
     senders = rows[order]
     keys = keys[order]
@@ -400,15 +396,6 @@ def _bitset_union(n, lens, ids, keys):
         new_ids.append(at.astype(ids.dtype))
         del block, held, at
     return np.concatenate(new_lens), np.concatenate(new_ids)
-
-
-def _firsts(a):
-    """Mask of the positions where a sorted array starts a new value."""
-    first = np.empty(a.size, bool)
-    if a.size:
-        first[0] = True
-        np.not_equal(a[1:], a[:-1], out=first[1:])
-    return first
 
 
 def run(g, scheme, max_rounds, initial_state=None, record=False, stop=None):

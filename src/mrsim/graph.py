@@ -39,12 +39,14 @@ it as one id-dtype array.
 components_nodes finds each node's root, its component's least member, by
 a union-find over the upper edges in arrays, and groups the nodes by a
 stable argsort of the roots. diameter counts each component's edges from
-the degrees. Below the size cap every cyclic component takes a
-bit-parallel all-source search in arrays, and the cyclic components of at
-most 64 nodes share one bitset of one word a node. Trees, and graphs
-above the cap, take double sweeps of breadth-first searches: these walk
-neighbor tuples cut from the CSR arrays for the one call, keep one list
-of n distances and use a plain list as their queue, handing the
+the degrees. Below the size cap the cyclic components take a bit-parallel
+all-source search in arrays, one search a word width W = ceil(k / 64),
+which stops at the first level that changes no row. Its rows, and the
+engine's bitset union's, are built by _bit_rows, the one builder of the
+bit-row format: bit x % 64 of word x // 64 of a row stands for x. Trees,
+and graphs above the cap, take double sweeps of breadth-first searches:
+these walk neighbor tuples cut from the CSR arrays for the one call, keep
+one list of n distances and use a plain list as their queue, handing the
 distances back all -1 after each search so that one list serves every
 source.
 """
@@ -620,37 +622,66 @@ def components_nodes(g):
     return [nodes[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _component_csr(indptr, indices, comp):
-    """The CSR arrays (ptr, nbr) of the subgraph on comp, an ascending
-    list of the nodes of whole components, renumbered 0..k-1 in that
-    order."""
-    if len(comp) == indptr.size - 1:
+def _firsts(a):
+    """Mask of the positions where a sorted array starts a new value."""
+    first = np.empty(a.size, bool)
+    if a.size:
+        first[0] = True
+        np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
+
+
+def _bit_rows(rows, ids, k, words):
+    """The (k, words) uint64 bit rows with bit x % 64 of word x // 64 of
+    row r set for each pair (r, x) of rows and ids, sorted by row, then id."""
+    # One word per (row, ids // 64); the pairs are sorted, so each word's
+    # bits lie next to each other.
+    slot = rows * words + (ids >> 6)
+    bit = np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
+    head = np.flatnonzero(_firsts(slot))
+    bits = np.zeros((k, words), np.uint64)
+    bits.reshape(-1)[slot[head]] = np.bitwise_or.reduceat(bit, head)
+    return bits
+
+
+def _component_csr(indptr, indices, comps):
+    """The CSR arrays (ptr, nbr) of the subgraph on comps, the node lists
+    of whole components, with their nodes laid end to end and renumbered
+    0..k-1 in that order. One component of every node is the graph."""
+    n = indptr.size - 1
+    if len(comps) == 1 and len(comps[0]) == n:
         return indptr, indices
-    comp = np.asarray(comp)
-    lo = indptr[comp]
-    deg = indptr[comp + 1] - lo
-    ptr = np.zeros(comp.size + 1, np.intp)
+    nodes = np.fromiter(itertools.chain.from_iterable(comps), np.intp)
+    lo = indptr[nodes]
+    deg = indptr[nodes + 1] - lo
+    ptr = np.zeros(nodes.size + 1, np.intp)
     np.cumsum(deg, out=ptr[1:])
     pos = np.repeat(lo - ptr[:-1], deg) + np.arange(ptr[-1])
-    return ptr, np.searchsorted(comp, indices[pos])
+    at = np.empty(n, np.intp)
+    at[nodes] = np.arange(nodes.size)
+    return ptr, at[indices[pos]]
 
 
-def _bitset_diameter(ptr, nbr, bits, full):
-    """The greatest diameter of the connected components (of at least 2
-    nodes each) of a graph given as CSR arrays, by an all-source search 64
-    sources to a machine word (the bit-parallel BFS of Akiba, Iwata and
-    Yoshida, 2013). Each node has a bit of its own among its component's,
-    and row x of the k x W uint64 array bits starts with x's bit alone set;
-    full is each row with all its component's bits set, or one row for
-    every row. A row has v's bit set when dist(v, x) is at most the level,
-    and each level ORs every row with its neighbors' rows; the answer is
-    the first level at which every row is full. A component's nodes fit in
-    W words, so it has at most 64 * W of them and every row is full before
-    level 64 * W; start rows that cannot fill raise there. The neighbors'
-    rows are gathered for blocks of whole rows of at most max(2m, k * W) // W
-    CSR entries, which one row's k - 1 never passes, so no temporary holds
-    more than max(2m, k * W) words."""
-    k, words = bits.shape
+def _bitset_diameter(indptr, indices, comps):
+    """The greatest diameter of comps, the node lists of connected
+    components of 2 or more nodes and of one word width W, by an all-source
+    search 64 sources to a machine word (the bit-parallel BFS of Akiba,
+    Iwata and Yoshida, 2013). The components' nodes are laid end to end,
+    and row x of the k x W rows starts with x's bit alone set: bit
+    x % (64 * W), which tells apart the at most 64 * W consecutive nodes
+    of one component. A row has v's bit set when dist(v, x) is at most the
+    level, and each level ORs every row with its neighbors' rows. The
+    answer is the number of levels before the first that changes no row:
+    in a connected component a level changes nothing exactly when the
+    level before it filled every row, and rows only grow, so the search
+    cannot run on. The neighbors' rows are gathered for blocks of whole
+    rows of at most max(2m, k * W) // W CSR entries, which one row's k - 1
+    never passes, so no temporary holds more than max(2m, k * W) words."""
+    ptr, nbr = _component_csr(indptr, indices, comps)
+    k = ptr.size - 1
+    words = -(-max(map(len, comps)) // 64)
+    rows = np.arange(k)
+    bits = _bit_rows(rows, rows % (64 * words), k, words)
     most = max(nbr.size, k * words) // words
     blocks = []
     a = 0
@@ -659,57 +690,26 @@ def _bitset_diameter(ptr, nbr, bits, full):
         blocks.append((a, b, nbr[ptr[a]:ptr[b]], ptr[a:b] - ptr[a]))
         a = b
     level = 0
-    while not (bits == full).all():
-        if level == 64 * words:
-            raise GraphError("bitset rows not full after %d levels" % level)
+    while True:
         grown = np.empty_like(bits)
         for a, b, block, heads in blocks:
             np.bitwise_or(bits[a:b], np.bitwise_or.reduceat(bits.take(block, axis=0), heads),
                           out=grown[a:b])
+        if (grown == bits).all():
+            return level
         bits = grown
         level += 1
-    return level
-
-
-def _own_bits(k):
-    """The start rows and the full row of _bitset_diameter on one component
-    of k nodes: node x has bit x % 64 of word x // 64."""
-    words = -(-k // 64)
-    x = np.arange(k)
-    bits = np.zeros((k, words), np.uint64)
-    bits[x, x >> 6] = np.left_shift(np.uint64(1), (x & 63).astype(np.uint64))
-    full = np.full(words, np.uint64(2 ** 64 - 1))
-    full[-1] >>= np.uint64(-k % 64)
-    return bits, full
-
-
-def _small_diameter(indptr, indices, comps):
-    """The greatest diameter of the components comps, each ascending and of
-    2 to 64 nodes, by one _bitset_diameter over all of them with one word a
-    row (W = 1): a node's bit is its rank in its component."""
-    sizes = np.array([len(c) for c in comps])
-    nodes = np.fromiter(itertools.chain.from_iterable(comps), np.intp, sizes.sum())
-    rank = np.arange(nodes.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    order = np.argsort(nodes)
-    ptr, nbr = _component_csr(indptr, indices, nodes[order])
-    bits = np.left_shift(np.uint64(1), rank[order].astype(np.uint64))
-    full = np.right_shift(np.uint64(2 ** 64 - 1),
-                          (64 - np.repeat(sizes, sizes)[order]).astype(np.uint64))
-    return _bitset_diameter(ptr, nbr, bits[:, None], full[:, None])
 
 
 def diameter(g):
     """Longest shortest path over all components. Exact on forests (double
-    sweep) and below a size cap, where every cyclic component takes the
-    bit-parallel all-source search of _bitset_diameter; sampled above, with
-    a warning.
-
-    Every cyclic component of at most 64 nodes is searched in one bitset of
-    one word a row, so many small components pay the bitset's fixed cost
-    once. A larger one is searched on its own, in W = ceil(k / 64) words a
-    row. Each level ORs 2m * W words, so a long thin component, whose
-    diameter is near its k nodes, takes some k * 2m * W: a long cycle runs
-    slower than one breadth-first search per node would."""
+    sweep) and below a size cap, where the cyclic components take the
+    bit-parallel all-source search of _bitset_diameter, one search a word
+    width W = ceil(k / 64), so that many small components pay its fixed
+    cost once; sampled above, with a warning. A level of the search ORs
+    2m * W words, so a long thin component, whose diameter is near its k
+    nodes, takes some k * 2m * W: a long cycle runs slower than one
+    breadth-first search per node would."""
     if g.n == 0:
         raise GraphError("diameter of empty graph")
     adj = None
@@ -717,7 +717,7 @@ def diameter(g):
     dist = [-1] * g.n
     best = 0
     sampled = False
-    small = []
+    by_width = {}
     for comp in components_nodes(g):
         k = len(comp)
         if int(degree[comp].sum()) == 2 * (k - 1):
@@ -726,12 +726,8 @@ def diameter(g):
             sampled = True
             rng = random.Random(0)
             srcs = comp if k <= _DIAMETER_SAMPLES else rng.sample(comp, _DIAMETER_SAMPLES)
-        elif k <= 64:
-            small.append(comp)
-            continue
         else:
-            ptr, nbr = _component_csr(g.indptr, g.indices, comp)
-            best = max(best, _bitset_diameter(ptr, nbr, *_own_bits(k)))
+            by_width.setdefault(-(-k // 64), []).append(comp)
             continue
         if adj is None:
             adj = _neighbors(g.indptr, g.indices)
@@ -739,8 +735,8 @@ def diameter(g):
             s, _ = _bfs_far(adj, s, dist)
             _, ecc = _bfs_far(adj, s, dist)
             best = max(best, ecc)
-    if small:
-        best = max(best, _small_diameter(g.indptr, g.indices, small))
+    for comps in by_width.values():
+        best = max(best, _bitset_diameter(g.indptr, g.indices, comps))
     if sampled:
         warnings.warn("diameter sampled above %d nodes; value is a lower bound"
                       % _EXACT_DIAMETER_CAP)

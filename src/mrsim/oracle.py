@@ -39,16 +39,19 @@ def centralized_slc(g, kind, param=None):
     frozen, the last two read at roots) with path halving and union by size.
     kind is "dist" (param = distance threshold, a real number in (0, 1]),
     "size" (param = size cap, an integer >= 1), or "never"; any other kind
-    or param is a GraphError before any edge is read.
+    or param, a bool included, is a GraphError before any edge is read.
     """
     if g.edge_weights is None:
         raise GraphError("single-linkage clustering needs edge weights")
     if kind not in ("never", "size", "dist"):
         raise GraphError("unknown stop predicate kind %r" % (kind,))
-    if kind == "dist" and not (isinstance(param, Real) and 0.0 < param <= 1.0):
+    # A bool passes Integral, but it is no threshold; numpy's passes
+    # neither Integral nor Real.
+    number = not isinstance(param, bool)
+    if kind == "dist" and not (number and isinstance(param, Real) and 0.0 < param <= 1.0):
         raise GraphError("dist threshold must be a real number in (0, 1], got %r"
                          % (param,))
-    if kind == "size" and not (isinstance(param, Integral) and param >= 1):
+    if kind == "size" and not (number and isinstance(param, Integral) and param >= 1):
         raise GraphError("size threshold must be an integer >= 1, got %r" % (param,))
     n = g.n
     parent = list(range(n))

@@ -63,12 +63,14 @@ class StopPredicate:
     grows along the merge tree."""
 
     def __init__(self, kind, param=None):
+        # A bool passes Integral, but it is no threshold.
+        number = not isinstance(param, (bool, np.bool_))
         if kind == "dist":
-            if not (isinstance(param, Real) and 0.0 < param <= 1.0):
+            if not (number and isinstance(param, Real) and 0.0 < param <= 1.0):
                 raise GraphError("distance threshold must be in (0, 1]")
             param = float(param)
         elif kind == "size":
-            if not (isinstance(param, Integral) and param >= 1):
+            if not (number and isinstance(param, Integral) and param >= 1):
                 raise GraphError("size threshold must be an integer >= 1")
             param = int(param)
         elif kind == "never":
@@ -282,14 +284,17 @@ def stop_round(g, state, pred):
     """Global stop on the CSR clusters state = (lens, ids): hand each node
     the largest of the clusters' maximal cores that holds it, read off the
     graph's merge forest, and require Stop_local on all of them. The state
-    is checked first, under every predicate: a GraphError unless lens and
-    ids are 1-D integer arrays, lens are at least 0 and sum to ids.size, every
-    id is in 0..n-1 and every node is held. Any number of clusters may be
-    given. Every core is stopped iff every highest standing node has a
-    covered parent (see the module docstring). A pred that is not a
-    StopPredicate is a GraphError too."""
+    is checked first, under every predicate: a GraphError unless it is a
+    pair of lens and ids that are 1-D integer arrays, lens are at least 0
+    and sum to ids.size, every id is in 0..n-1 and every node is held. Any
+    number of clusters may be given. Every core is stopped iff every
+    highest standing node has a covered parent (see the module docstring).
+    A pred that is not a StopPredicate is a GraphError too."""
     _check_predicate(pred)
-    lens, ids = state
+    try:
+        lens, ids = state
+    except (TypeError, ValueError):
+        raise GraphError("a cluster state must be a (lens, ids) pair") from None
     if not (isinstance(lens, np.ndarray) and isinstance(ids, np.ndarray)
             and lens.ndim == ids.ndim == 1
             and lens.dtype.kind in "iu" and ids.dtype.kind in "iu"):

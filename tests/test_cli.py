@@ -100,6 +100,17 @@ def test_run_unconverged_exit_code(capsys):
         assert (doc["rounds"], doc["converged"], doc["components"]) == (rounds, False, None)
 
 
+def test_sweep_unconverged_exit_code(capsys):
+    """A sweep with a run cut short by --max-rounds still writes its rows,
+    and exits 2 with run's stderr line."""
+    code, out, err = run_cli(capsys, "sweep", "--family", "path", "--sizes", "64",
+                             "--algo", "hash-min", "--max-rounds", "5")
+    assert code == 2
+    assert err == "did not converge within 5 rounds\n"
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[:4] for r in rows[1:]] == [["64", "63", "5.9773", "5"]]
+
+
 def test_run_verify_mismatch_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("mrsim.oracle.union_find_components",
                         lambda g: [(0,)])

@@ -20,13 +20,6 @@ from mrsim.graph import (
     _EXACT_DIAMETER_CAP,
     Graph,
     GraphError,
-    _bfs_far,
-    _bitset_diameter,
-    _draws,
-    _edge_indices,
-    _own_bits,
-    _unique_weights,
-    _unrank,
     components_nodes,
     diameter,
     dump_edge_list,
@@ -393,6 +386,7 @@ class Stream:
 def test_gen_random_matches_the_per_edge_loop(n):
     """Equal graphs, and equal weights, so the stream is left where the
     loop left it."""
+    from mrsim.graph import _unique_weights
     for p in (0.001, 0.02, 0.5, 0.9):
         for seed in range(20):
             rows, cols, rng = reference_edges(n, p, seed)
@@ -408,6 +402,7 @@ def test_unique_weights_match_the_per_weight_loop():
     leave the stream where it does: on gen_random's own streams, and on a
     stream whose draws repeat, so the nudges run, in chains that pass a
     weight drawn later."""
+    from mrsim.graph import _unique_weights
     for n, p in ((2, 0.5), (97, 0.02), (300, 0.5)):
         for seed in range(5):
             rows, _, rng = reference_edges(n, p, seed)
@@ -442,6 +437,7 @@ def test_gen_random_digests_of_weighted_sparse_and_huge_skip_draws():
     1.0 - p rounds to 1.0, the pairs of five seeds at the node limit (no
     graph of that many nodes fits in memory). Every numpy build must give
     these bytes, whatever log it runs."""
+    from mrsim.graph import _edge_indices, _unrank
     def digest(*arrays):
         return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
@@ -464,6 +460,7 @@ def test_gen_random_digests_of_weighted_sparse_and_huge_skip_draws():
 def test_draws_are_the_stream_of_random(k):
     """_draws(rng, k) is k calls to rng.random(): the same values, and an
     equal state after, from an odd or even word of the stream."""
+    from mrsim.graph import _draws
     for seed, skip in ((0, 0), (1, 32), (2, 33)):
         a, b = random.Random(seed), random.Random(seed)
         a.getrandbits(skip)
@@ -484,6 +481,7 @@ def exact_unrank(n, idx):
 
 
 def test_unrank_is_exact_up_to_its_node_limit():
+    from mrsim.graph import _unrank
     n = 7
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     assert [exact_unrank(n, i) for i in range(len(pairs))] == pairs
@@ -526,6 +524,7 @@ def test_edge_indices_are_exact_for_huge_totals():
     2**62 - 1, and a p so small that 1.0 - p rounds to 1.0: the same indices
     as Python ints give, from one draw per index and one more, so the loop
     leaves the stream where gen_random starts its weights."""
+    from mrsim.graph import _edge_indices
     def used(seed, got):
         rng = random.Random(seed)
         rng.getrandbits(64 * (got.size + 1))
@@ -556,6 +555,7 @@ def test_edge_indices_redo_quotients_near_an_integer(monkeypatch, shift):
     the skip by one. With np.log as it is, and with the log graph calls made
     one ulp low or high on every element, the indices are the per-edge
     loop's, on those draws and on seeded streams."""
+    from mrsim.graph import _edge_indices
     if shift is not None:
         log = np.log
         monkeypatch.setattr(mrsim.graph.np, "log", lambda a: np.nextafter(log(a), shift))
@@ -906,6 +906,7 @@ def test_components_nodes_matches_the_search_on_small_graphs(case):
 def test_bfs_far_is_the_first_node_reached_at_the_greatest_distance():
     """From 0 the search reaches 1 before 2, so 4, 1's child, before 3;
     both are at distance 2. The distance list is handed back all -1."""
+    from mrsim.graph import _bfs_far
     g = Graph(5, [(0, 2), (0, 1), (2, 3), (1, 4)])
     dist = [-1] * g.n
     assert _bfs_far(g.adj, 0, dist) == (4, 2)
@@ -915,6 +916,8 @@ def test_bfs_far_is_the_first_node_reached_at_the_greatest_distance():
 
 def test_diameter_exact_small():
     assert diameter(gen_path(10)) == 9
+    for k in (3, 70, 130):
+        assert _matches_the_search(_cycle(k)) == k // 2
     g = Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)])
     assert diameter(g) == 3
     for seed in range(5):
@@ -1021,21 +1024,26 @@ def test_diameter_searches_small_cyclic_components_together():
     assert _matches_the_search(relabel_random(triangles, 2)[0]) == 1
 
 
-def test_bitset_diameter_raises_on_rows_that_cannot_fill():
-    """Start rows that miss a node's bit, or a full row that asks for a
-    bit past the component's nodes, never fill; no diameter reaches
-    64 * W levels, so the search raises there instead of running on."""
-    for k in (3, 70, 130):
-        g = _cycle(k)
-        bits, full = _own_bits(k)
-        assert _bitset_diameter(g.indptr, g.indices, bits, full) == k // 2
-        missing = bits.copy()
-        missing[k - 1] = 0
-        wide = full.copy()
-        wide[-1] = np.uint64(2 ** 64 - 1)
-        for rows, want in ((missing, full), (bits, wide)):
-            with pytest.raises(GraphError, match="after %d levels" % (64 * full.size)):
-                _bitset_diameter(g.indptr, g.indices, rows, want)
+def test_diameter_batches_cyclic_components_by_word_width(monkeypatch):
+    """The cyclic components of one word width W share one search: 100-
+    and 120-node cycles and a 70-node weighted random (W = 2) in one, a few
+    triangles (W = 1) in another, and the path in none; as placed, and
+    relabeled so that the components' nodes interleave."""
+    searches = []
+    search = mrsim.graph._bitset_diameter
+
+    def spy(indptr, indices, comps):
+        searches.append(sorted(len(c) for c in comps))
+        return search(indptr, indices, comps)
+
+    monkeypatch.setattr(mrsim.graph, "_bitset_diameter", spy)
+    parts = [_cycle(3), _cycle(100), _cycle(3), gen_random(70, 0.1, seed=4, weighted=True),
+             gen_path(9), _cycle(120), _cycle(3)]
+    g = _union(sum(part.n for part in parts) + 2, *parts)
+    for h in (g, relabel_random(g, 3)[0]):
+        searches.clear()
+        assert _matches_the_search(h) == 60
+        assert sorted(searches) == [[3, 3, 3], [70, 100, 120]]
 
 
 def test_diameter_is_exact_at_the_size_cap():

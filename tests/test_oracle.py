@@ -105,7 +105,8 @@ def test_centralized_slc_two_component_example():
 def test_centralized_slc_checks_its_stop_rule_before_any_edge():
     """A bad kind or param is refused on every graph, edges or none: the
     params StopPredicate refuses, a dist outside (0, 1] and a size that is
-    not an integer >= 1, NaN included. The bounds themselves are taken."""
+    not an integer >= 1, NaN and bools, Python's or numpy's, included. The
+    bounds themselves are taken."""
     for g in (gen_path(1, weighted=True), gen_path(4, weighted=True),
               gen_path(5, weighted=True)):
         for kind, param in (("bogus", None), ("bogus", 1), (None, None),
@@ -113,7 +114,9 @@ def test_centralized_slc_checks_its_stop_rule_before_any_edge():
                             ("dist", None), ("dist", nan), ("size", nan),
                             ("size", 2.5), ("size", 2.0), ("size", -1), ("size", 0),
                             ("size", inf), ("dist", 0.0), ("dist", -0.5),
-                            ("dist", 1.5), ("dist", inf)):
+                            ("dist", 1.5), ("dist", inf), ("size", True),
+                            ("dist", True), ("size", np.True_), ("dist", np.True_),
+                            ("size", False), ("dist", np.False_)):
             with pytest.raises(GraphError):
                 centralized_slc(g, kind, param)
             if kind in ("dist", "size"):

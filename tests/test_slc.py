@@ -258,10 +258,11 @@ def test_stop_round_requires_coverage():
 
 def test_stop_round_refuses_malformed_lens_and_ids():
     """lens that do not split the ids into clusters, and lens or ids that
-    are not 1-D integer arrays, are GraphErrors under every predicate, not
-    numpy's broadcast, repeat or index errors or a list's AttributeError.
-    So is a pred that is not a StopPredicate. The lens count need not be
-    n."""
+    are not 1-D integer arrays, and a state that is not a (lens, ids) pair,
+    are GraphErrors under every predicate, not numpy's broadcast, repeat or
+    index errors, a list's AttributeError or an unpacking's TypeError or
+    ValueError. So is a pred that is not a StopPredicate. The lens count
+    need not be n."""
     g = gen_path(4, weighted=True)
     ids = np.arange(4)
     for bad in ("size:1", None):
@@ -270,7 +271,8 @@ def test_stop_round_refuses_malformed_lens_and_ids():
     bad_states = [(np.array([1, 1, 1]), ids), (np.array([3, -1, 1, 1]), ids),
                   (np.array([2, 2, 1]), ids), (np.array([4]), ids.astype(float)),
                   (np.array([4.0]), ids), ([1, 1, 1, 1], [0, 1, 2, 3]),
-                  (np.ones((2, 2), int), ids), (np.array([2, 2]), ids.reshape(2, 2))]
+                  (np.ones((2, 2), int), ids), (np.array([2, 2]), ids.reshape(2, 2)),
+                  None, (np.array([4]),), (np.array([4]), ids, ids)]
     for spec in ("never", "dist:0.5", "size:1"):
         pred = StopPredicate.parse(spec)
         for state in bad_states:
